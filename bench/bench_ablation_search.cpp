@@ -34,7 +34,7 @@ int main() {
 
   power::DesignParams base;
   base.cs_m = 75;  // CS chain; the axes below override M
-  DesignSpace space;
+  arch::DesignSpace space;
   space.add_axis("lna_noise_vrms", {1e-6, 2e-6, 3.5e-6, 6e-6, 10e-6, 15e-6, 20e-6})
       .add_axis("adc_bits", {6, 7, 8})
       .add_axis("cs_m", {75, 150, 192})
@@ -72,7 +72,7 @@ int main() {
                format_number(std::chrono::duration<double>(t1 - t0).count()),
                format_power(g.metrics.power_w),
                format_number(100.0 * g.metrics.accuracy),
-               point_to_string(g.point)});
+               arch::point_to_string(g.point)});
   }
   const auto& o = found.evaluated[found.best];
   t.add_row({"random + coordinate descent",
@@ -80,7 +80,7 @@ int main() {
              format_number(std::chrono::duration<double>(t3 - t2).count()),
              format_power(o.metrics.power_w),
              format_number(100.0 * o.metrics.accuracy),
-             point_to_string(o.point)});
+             arch::point_to_string(o.point)});
   t.print(std::cout);
 
   if (grid_best) {

@@ -20,7 +20,7 @@ namespace {
 void print_points(const std::vector<SweepResult>& results, const char* arch,
                   TablePrinter& table) {
   for (const auto& r : results) {
-    table.add_row({arch, point_to_string(r.point),
+    table.add_row({arch, arch::point_to_string(r.point),
                    format_power(r.metrics.power_w),
                    format_number(r.metrics.snr_db),
                    format_number(100.0 * r.metrics.accuracy)});
@@ -37,7 +37,7 @@ void print_front(const std::vector<SweepResult>& results, Merit merit,
     const auto& r = results[c.tag];
     t.add_row({format_power(c.cost),
                format_number(merit == Merit::Snr ? c.merit : 100.0 * c.merit),
-               point_to_string(r.point)});
+               arch::point_to_string(r.point)});
   }
   t.print(std::cout);
 }
@@ -62,7 +62,7 @@ int main() {
                 "area_unit_caps"});
     auto dump = [&csv](const std::vector<SweepResult>& rs, const char* arch) {
       for (const auto& r : rs) {
-        csv.row({std::string(arch), point_to_string(r.point),
+        csv.row({std::string(arch), arch::point_to_string(r.point),
                  format_number(r.metrics.power_w),
                  format_number(r.metrics.snr_db),
                  format_number(r.metrics.accuracy),

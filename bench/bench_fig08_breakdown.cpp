@@ -39,8 +39,8 @@ int main() {
   std::cout << "CS optimum      : " << describe_result(rc) << "\n\n";
 
   TablePrinter t({"block", "baseline", "CS"});
-  for (const char* block : {kLnaBlock, kSampleHoldBlock, kCsEncoderBlock,
-                            kAdcBlock, kTxBlock}) {
+  for (const char* block : {arch::kLnaBlock, arch::kSampleHoldBlock, arch::kCsEncoderBlock,
+                            arch::kAdcBlock, arch::kTxBlock}) {
     t.add_row({block, format_power(rb.metrics.power_breakdown.watts_of(block)),
                format_power(rc.metrics.power_breakdown.watts_of(block))});
   }

@@ -30,7 +30,7 @@ int main() {
     for (const auto* r : sorted) {
       t.add_row({arch, format_number(r->metrics.area_unit_caps),
                  format_number(100.0 * r->metrics.accuracy),
-                 format_power(r->metrics.power_w), point_to_string(r->point)});
+                 format_power(r->metrics.power_w), arch::point_to_string(r->point)});
     }
   };
   add(result.baseline, "baseline");

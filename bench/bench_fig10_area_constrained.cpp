@@ -54,7 +54,7 @@ int main() {
       t.add_row({r.design.uses_cs() ? "cs" : "baseline", format_power(c.cost),
                  format_number(100.0 * c.merit),
                  format_number(r.metrics.area_unit_caps),
-                 point_to_string(r.point)});
+                 arch::point_to_string(r.point)});
     }
     t.print(std::cout);
     const auto best = best_merit_where(eligible, [](const Candidate&) { return true; });

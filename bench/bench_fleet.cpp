@@ -25,7 +25,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/design_space.hpp"
+#include "arch/design_space.hpp"
 #include "core/sweep.hpp"
 #include "results_common.hpp"
 #include "run/coordinator.hpp"
@@ -49,8 +49,8 @@ double seconds_since(const std::chrono::steady_clock::time_point& t0) {
 
 /// 16 x 15 = 240 points: big enough that a 4-worker fleet re-leases many
 /// times (and steals), small enough for a CI smoke lap.
-DesignSpace fleet_space() {
-  DesignSpace space;
+arch::DesignSpace fleet_space() {
+  arch::DesignSpace space;
   std::vector<double> noise, bits;
   for (int i = 0; i < 16; ++i) noise.push_back(1e-6 * (i + 1));
   for (int i = 0; i < 15; ++i) bits.push_back(4 + i * 0.5);
@@ -85,7 +85,7 @@ struct FleetLap {
 /// One fleet lap: coordinator + `workers` in-process Worker threads over a
 /// fresh spool, point cost `point_ms`. Returns the lap timing and whether
 /// the merged CSV reproduced `oracle_csv` bitwise.
-FleetLap fleet_lap(const fs::path& scratch, const DesignSpace& space,
+FleetLap fleet_lap(const fs::path& scratch, const arch::DesignSpace& space,
                    std::size_t workers, double point_ms,
                    const std::string& oracle_csv) {
   const auto spool = (scratch / ("spool_w" + std::to_string(workers))).string();
@@ -143,7 +143,7 @@ struct FsyncLap {
 
 /// Journal the whole space through a DurableSweeper with a free evaluation,
 /// under EFFICSENSE_FSYNC=`mode`: the lap time is journal commit cost.
-FsyncLap fsync_lap(const fs::path& scratch, const DesignSpace& space,
+FsyncLap fsync_lap(const fs::path& scratch, const arch::DesignSpace& space,
                    const char* mode) {
   ::setenv("EFFICSENSE_FSYNC", mode, 1);
   RunOptions o;

@@ -66,11 +66,11 @@ int main() {
     const auto m = evaluator.evaluate(arch.design);
     t.add_row({arch.name, format_number(m.snr_db),
                format_number(100.0 * m.accuracy), format_power(m.power_w),
-               format_power(m.power_breakdown.watts_of(kLnaBlock)),
-               format_power(m.power_breakdown.watts_of(kCsEncoderBlock)),
-               format_power(m.power_breakdown.watts_of(kAdcBlock) +
-                            m.power_breakdown.watts_of(kSampleHoldBlock)),
-               format_power(m.power_breakdown.watts_of(kTxBlock)),
+               format_power(m.power_breakdown.watts_of(arch::kLnaBlock)),
+               format_power(m.power_breakdown.watts_of(arch::kCsEncoderBlock)),
+               format_power(m.power_breakdown.watts_of(arch::kAdcBlock) +
+                            m.power_breakdown.watts_of(arch::kSampleHoldBlock)),
+               format_power(m.power_breakdown.watts_of(arch::kTxBlock)),
                format_number(m.area_unit_caps)});
   }
   t.print(std::cout);

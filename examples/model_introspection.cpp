@@ -66,7 +66,7 @@ int main() {
 
   // Probe the subsystem's internal nodes.
   auto& inner = dynamic_cast<sim::CompositeBlock&>(top.block("analog_front_end")).inner();
-  const auto& lna_out = inner.probe("lna");
+  const auto lna_out = inner.probe("lna").lane_waveform(0);
   std::cout << "probed LNA output inside the subsystem: rms = "
             << format_number(dsp::rms(lna_out.samples)) << " V at "
             << format_number(lna_out.fs) << " Hz\n\n";

@@ -57,7 +57,7 @@ int main() {
   const Sweeper sweeper(&evaluator);
 
   // --- Step 5b: sweep a small search space for the baseline architecture.
-  DesignSpace space;
+  arch::DesignSpace space;
   space.add_axis("lna_noise_vrms", {2e-6, 6e-6, 15e-6});
   space.add_axis("adc_bits", {6, 8});
   std::cout << "sweeping " << space.size() << " baseline design points...\n";
@@ -65,7 +65,7 @@ int main() {
 
   TablePrinter t({"design point", "power", "SNR [dB]", "acc [%]", "area [Cu]"});
   for (const auto& r : results) {
-    t.add_row({point_to_string(r.point), format_power(r.metrics.power_w),
+    t.add_row({arch::point_to_string(r.point), format_power(r.metrics.power_w),
                format_number(r.metrics.snr_db),
                format_number(100.0 * r.metrics.accuracy),
                format_number(r.metrics.area_unit_caps)});

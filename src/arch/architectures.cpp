@@ -26,7 +26,7 @@ std::unique_ptr<Decoder> cached_cs_decoder(const power::DesignParams& design,
   // Reconstructor entirely: the gateway keeps the measurement stream and the
   // detector consumes it directly.
   const cs::SparseSolver& solver =
-      cs::SolverRegistry::instance().get(rc.solver_id());
+      cs::SolverRegistry::instance().get(rc.solver);
   if (!solver.reconstructs()) {
     return std::make_unique<MeasurementDomainDecoder>(
         matched_phi(design, seeds.phi), matched_gains(design));

@@ -244,7 +244,7 @@ std::uint64_t ScenarioSpec::digest() const {
   }
   bytes.push_back('\n');
   append_u64(bytes, space.digest());
-  bytes.push_back(static_cast<char>(recon.algorithm));
+  bytes.push_back(0);  // the retired algorithm enum: keeps digests stable
   bytes.push_back(static_cast<char>(recon.basis));
   append_u64(bytes, recon.sparsity);
   append_bits(bytes, recon.residual_tol);
@@ -252,7 +252,7 @@ std::uint64_t ScenarioSpec::digest() const {
   append_u64(bytes, recon.basis_atoms);
   bytes.push_back(recon.compensate_decay ? 1 : 0);
   bytes.push_back(static_cast<char>(recon.omp_mode));
-  bytes += recon.solver_id();
+  bytes += recon.solver;
   bytes.push_back('\n');
   append_u64(bytes, seeds.mismatch);
   append_u64(bytes, seeds.noise);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/arena.hpp"
 #include "util/error.hpp"
 
 namespace efficsense::blocks {
@@ -57,23 +56,16 @@ NoiseAdderBlock::NoiseAdderBlock(std::string name, double sigma,
 
 std::vector<sim::Waveform> NoiseAdderBlock::process(
     const std::vector<sim::Waveform>& in) {
-  sim::WaveformArena scratch;
-  return process(in, scratch);
-}
-
-std::vector<sim::Waveform> NoiseAdderBlock::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
   const sim::Waveform& x = in.at(0);
   const std::size_t n = x.size();
-  sim::Waveform out = arena.acquire_waveform(x.fs, n);
+  sim::Waveform out(x.fs, std::vector<double>(n));
   if (sigma_ > 0.0) {
     Rng rng(derive_seed(seed_, run_));
-    std::vector<double> noise = arena.acquire(n);
+    std::vector<double> noise(n);
     rng.fill_gaussian(noise.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       out.samples[i] = x[i] + sigma_ * noise[i];
     }
-    arena.release(std::move(noise));
   } else {
     std::copy(x.samples.begin(), x.samples.end(), out.samples.begin());
   }
@@ -83,19 +75,18 @@ std::vector<sim::Waveform> NoiseAdderBlock::process(
 
 void NoiseAdderBlock::process_batch(
     std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
-    std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
+    std::vector<sim::LaneBank>& outputs) {
   const bool shared = lane_noise_seeds_.empty();
   if (shared && inputs.at(0)->uniform()) {
-    sim::Block::process_batch(lanes, inputs, outputs, arena);
+    sim::Block::process_batch(lanes, inputs, outputs);
     return;
   }
   const sim::LaneBank& x = *inputs.at(0);
   EFF_REQUIRE(shared || lane_noise_seeds_.size() == lanes,
               "noise-adder lane seed count does not match the batch width");
   const std::size_t n = x.samples();
-  sim::LaneBank bank =
-      sim::LaneBank::acquire(arena, x.fs(), lanes, n, /*uniform=*/false);
-  std::vector<double> noise = arena.acquire(n);
+  sim::LaneBank bank(x.fs(), lanes, n, /*uniform=*/false);
+  std::vector<double> noise(n);
   for (std::size_t k = 0; k < lanes; ++k) {
     const double* xr = x.lane(k);
     double* o = bank.lane(k);
@@ -110,7 +101,6 @@ void NoiseAdderBlock::process_batch(
     }
   }
   ++run_;
-  arena.release(std::move(noise));
   outputs.push_back(std::move(bank));
 }
 

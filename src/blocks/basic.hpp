@@ -40,12 +40,9 @@ class NoiseAdderBlock final : public sim::Block {
  public:
   NoiseAdderBlock(std::string name, double sigma, std::uint64_t seed);
   std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
-                     std::vector<sim::LaneBank>& outputs,
-                     sim::WaveformArena& arena) override;
+                     std::vector<sim::LaneBank>& outputs) override;
   void reset() override;
 
   /// Per-lane noise seeds for batched runs; empty (default) = all lanes

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "dsp/resample.hpp"
-#include "sim/arena.hpp"
 #include "power/models.hpp"
 #include "util/constants.hpp"
 #include "util/error.hpp"
@@ -162,10 +161,10 @@ std::vector<sim::Waveform> CsEncoderBlock::process(
 
 void CsEncoderBlock::process_batch(
     std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
-    std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
+    std::vector<sim::LaneBank>& outputs) {
   const bool shared_noise = lane_noise_seeds_.empty();
   if (lane_c_hold_f_.empty() && shared_noise && inputs.at(0)->uniform()) {
-    sim::Block::process_batch(lanes, inputs, outputs, arena);
+    sim::Block::process_batch(lanes, inputs, outputs);
     return;
   }
   const sim::LaneBank& x = *inputs.at(0);
@@ -189,8 +188,7 @@ void CsEncoderBlock::process_batch(
   const auto n_samples =
       static_cast<std::size_t>(std::floor(duration_s * f_sample));
   const auto times = dsp::uniform_times(n_samples, f_sample);
-  sim::LaneBank sampled_bank = sim::LaneBank::acquire(
-      arena, f_sample, lanes, n_samples, x.uniform());
+  sim::LaneBank sampled_bank(f_sample, lanes, n_samples, x.uniform());
   for (std::size_t r = 0; r < x.rows(); ++r) {
     dsp::sample_at_times(x.lane(r), x.samples(), x.fs(), times.data(),
                          n_samples, sampled_bank.lane(r));
@@ -208,15 +206,14 @@ void CsEncoderBlock::process_batch(
     }
   }
   const std::size_t n_draws = frames * draws_per_frame;
-  std::vector<double> zbuf = arena.acquire(n_draws);
+  std::vector<double> zbuf(n_draws);
   if (shared_noise && n_draws > 0) {
     Rng rng(derive_seed(noise_seed_, run_));
     rng.fill_gaussian(zbuf.data(), n_draws);
   }
 
   const double out_rate = design_.tx_sample_rate_hz();
-  sim::LaneBank bank = sim::LaneBank::acquire(arena, out_rate, lanes,
-                                              frames * m, /*uniform=*/false);
+  sim::LaneBank bank(out_rate, lanes, frames * m, /*uniform=*/false);
 
   const double i_leak = (options_.i_leak_override_a > 0.0)
                             ? options_.i_leak_override_a
@@ -287,8 +284,6 @@ void CsEncoderBlock::process_batch(
     }
   }
   ++run_;
-  arena.release(std::move(zbuf));
-  sampled_bank.release_to(arena);
   outputs.push_back(std::move(bank));
 }
 

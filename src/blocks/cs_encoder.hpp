@@ -47,8 +47,7 @@ class CsEncoderBlock final : public sim::Block {
   std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
-                     std::vector<sim::LaneBank>& outputs,
-                     sim::WaveformArena& arena) override;
+                     std::vector<sim::LaneBank>& outputs) override;
   void reset() override;
 
   double power_watts() const override;

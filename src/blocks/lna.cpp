@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "dsp/biquad.hpp"
-#include "sim/arena.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -31,12 +30,6 @@ LnaBlock::LnaBlock(std::string name, const power::TechnologyParams& tech,
 
 std::vector<sim::Waveform> LnaBlock::process(
     const std::vector<sim::Waveform>& in) {
-  sim::WaveformArena scratch;
-  return process(in, scratch);
-}
-
-std::vector<sim::Waveform> LnaBlock::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
   const sim::Waveform& x = in.at(0);
   EFF_REQUIRE(!x.empty(), "LNA input is empty");
   EFF_REQUIRE(x.fs > 2.0 * design_.bw_lna_hz(),
@@ -53,8 +46,8 @@ std::vector<sim::Waveform> LnaBlock::process(
   ++run_;
 
   const std::size_t n = x.size();
-  sim::Waveform out = arena.acquire_waveform(x.fs, n);
-  std::vector<double> noise = arena.acquire(n);
+  sim::Waveform out(x.fs, std::vector<double>(n));
+  std::vector<double> noise(n);
   rng.fill_gaussian(noise.data(), n);
 
   auto lpf = dsp::butterworth_lowpass(2, design_.bw_lna_hz(), x.fs);
@@ -72,19 +65,17 @@ std::vector<sim::Waveform> LnaBlock::process(
     const double c = v - k3_ * v * v * v;  // 3rd-order compression
     out.samples[i] = std::clamp(c, -clip_level_, clip_level_);
   }
-  arena.release(std::move(noise));
   return {std::move(out)};
 }
 
 void LnaBlock::process_batch(std::size_t lanes,
                              const std::vector<const sim::LaneBank*>& inputs,
-                             std::vector<sim::LaneBank>& outputs,
-                             sim::WaveformArena& arena) {
+                             std::vector<sim::LaneBank>& outputs) {
   const bool shared = lane_noise_seeds_.empty();
   if (shared && inputs.at(0)->uniform()) {
     // One shared noise stream over one shared input: the base class runs the
     // scalar path once and broadcasts (run_ advances once, like one lane).
-    sim::Block::process_batch(lanes, inputs, outputs, arena);
+    sim::Block::process_batch(lanes, inputs, outputs);
     return;
   }
   const sim::LaneBank& x = *inputs.at(0);
@@ -97,9 +88,8 @@ void LnaBlock::process_batch(std::size_t lanes,
   const double sigma_sample =
       design_.lna_noise_vrms * std::sqrt(x.fs() / (2.0 * design_.bw_lna_hz()));
   const std::size_t n = x.samples();
-  sim::LaneBank bank =
-      sim::LaneBank::acquire(arena, x.fs(), lanes, n, /*uniform=*/false);
-  std::vector<double> noise = arena.acquire(n);
+  sim::LaneBank bank(x.fs(), lanes, n, /*uniform=*/false);
+  std::vector<double> noise(n);
   const double g = design_.lna_gain;
   // Per-lane replica of the scalar staging (noise + gain, low-pass,
   // compression + clip) with lane k's stream — bit-identical to the scalar
@@ -123,7 +113,6 @@ void LnaBlock::process_batch(std::size_t lanes,
     }
   }
   ++run_;
-  arena.release(std::move(noise));
   outputs.push_back(std::move(bank));
 }
 

@@ -21,12 +21,9 @@ class LnaBlock final : public sim::Block {
            double hd3_db = -60.0);
 
   std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
-                     std::vector<sim::LaneBank>& outputs,
-                     sim::WaveformArena& arena) override;
+                     std::vector<sim::LaneBank>& outputs) override;
   void reset() override;
 
   double power_watts() const override;

@@ -4,7 +4,6 @@
 
 #include "dsp/resample.hpp"
 #include "power/models.hpp"
-#include "sim/arena.hpp"
 #include "util/constants.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -36,12 +35,6 @@ double SampleHoldBlock::kt_c_noise_vrms() const {
 
 std::vector<sim::Waveform> SampleHoldBlock::process(
     const std::vector<sim::Waveform>& in) {
-  sim::WaveformArena scratch;
-  return process(in, scratch);
-}
-
-std::vector<sim::Waveform> SampleHoldBlock::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
   const sim::Waveform& x = in.at(0);
   EFF_REQUIRE(!x.empty(), "S&H input is empty");
   const double f_sample = design_.f_sample_hz();
@@ -49,14 +42,14 @@ std::vector<sim::Waveform> SampleHoldBlock::process(
 
   const auto n_out =
       static_cast<std::size_t>(std::floor(x.duration_s() * f_sample));
-  std::vector<double> times = arena.acquire(n_out);
+  std::vector<double> times(n_out);
   for (std::size_t k = 0; k < n_out; ++k) {
     times[k] = static_cast<double>(k) / f_sample;
   }
 
   Rng rng(derive_seed(seed_, run_));
   ++run_;
-  std::vector<double> noise = arena.acquire(n_out);
+  std::vector<double> noise(n_out);
   if (jitter_s_ > 0.0) {
     // Aperture jitter: each sampling instant wanders by a Gaussian offset.
     rng.fill_gaussian(noise.data(), n_out);
@@ -64,7 +57,7 @@ std::vector<sim::Waveform> SampleHoldBlock::process(
       times[k] += jitter_s_ * noise[k];
     }
   }
-  sim::Waveform out = arena.acquire_waveform(f_sample, n_out);
+  sim::Waveform out(f_sample, std::vector<double>(n_out));
   dsp::sample_at_times(x.samples, x.fs, times.data(), n_out,
                        out.samples.data());
 
@@ -73,18 +66,15 @@ std::vector<sim::Waveform> SampleHoldBlock::process(
   for (std::size_t k = 0; k < n_out; ++k) {
     out.samples[k] += sigma * noise[k];
   }
-  arena.release(std::move(noise));
-  arena.release(std::move(times));
-
   return {std::move(out)};
 }
 
 void SampleHoldBlock::process_batch(
     std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
-    std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
+    std::vector<sim::LaneBank>& outputs) {
   const bool shared = lane_noise_seeds_.empty();
   if (shared && inputs.at(0)->uniform()) {
-    sim::Block::process_batch(lanes, inputs, outputs, arena);
+    sim::Block::process_batch(lanes, inputs, outputs);
     return;
   }
   const sim::LaneBank& x = *inputs.at(0);
@@ -97,10 +87,9 @@ void SampleHoldBlock::process_batch(
   const double duration_s = static_cast<double>(x.samples()) / x.fs();
   const auto n_out =
       static_cast<std::size_t>(std::floor(duration_s * f_sample));
-  std::vector<double> times = arena.acquire(n_out);
-  std::vector<double> noise = arena.acquire(n_out);
-  sim::LaneBank bank =
-      sim::LaneBank::acquire(arena, f_sample, lanes, n_out, /*uniform=*/false);
+  std::vector<double> times(n_out);
+  std::vector<double> noise(n_out);
+  sim::LaneBank bank(f_sample, lanes, n_out, /*uniform=*/false);
   const double sigma = kt_c_noise_vrms();
   for (std::size_t k = 0; k < lanes; ++k) {
     for (std::size_t i = 0; i < n_out; ++i) {
@@ -122,8 +111,6 @@ void SampleHoldBlock::process_batch(
     }
   }
   ++run_;
-  arena.release(std::move(noise));
-  arena.release(std::move(times));
   outputs.push_back(std::move(bank));
 }
 

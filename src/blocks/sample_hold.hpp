@@ -18,12 +18,9 @@ class SampleHoldBlock final : public sim::Block {
                   double aperture_jitter_s = 0.0);
 
   std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
-                     std::vector<sim::LaneBank>& outputs,
-                     sim::WaveformArena& arena) override;
+                     std::vector<sim::LaneBank>& outputs) override;
   void reset() override;
 
   double power_watts() const override;

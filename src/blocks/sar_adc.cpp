@@ -5,7 +5,6 @@
 
 #include "linalg/lane_kernels.hpp"
 #include "power/models.hpp"
-#include "sim/arena.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -160,12 +159,6 @@ double SarAdcBlock::lsb() const {
 
 std::vector<sim::Waveform> SarAdcBlock::process(
     const std::vector<sim::Waveform>& in) {
-  sim::WaveformArena scratch;
-  return process(in, scratch);
-}
-
-std::vector<sim::Waveform> SarAdcBlock::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
   const sim::Waveform& x = in.at(0);
   EFF_REQUIRE(!x.empty(), "ADC input is empty");
 
@@ -177,13 +170,13 @@ std::vector<sim::Waveform> SarAdcBlock::process(
   ++run_;
 
   const std::size_t n_samples = x.size();
-  sim::Waveform out = arena.acquire_waveform(x.fs, n_samples);
+  sim::Waveform out(x.fs, std::vector<double>(n_samples));
   const double code_scale = 1.0 / std::pow(2.0, n);
 
   // One comparator-noise draw per bit decision, bulk-generated in the same
   // order the scalar loop consumed them (sample-major, bit-minor).
   const std::size_t n_draws = n_samples * static_cast<std::size_t>(n);
-  std::vector<double> noise = arena.acquire(n_draws);
+  std::vector<double> noise(n_draws);
   rng.fill_gaussian(noise.data(), n_draws);
 
   const double* draw = noise.data();
@@ -208,16 +201,15 @@ std::vector<sim::Waveform> SarAdcBlock::process(
         (static_cast<double>(code) + 0.5) * code_scale * v_fs - v_fs / 2.0;
     out.samples[i] = v_hat;
   }
-  arena.release(std::move(noise));
   return {std::move(out)};
 }
 
 void SarAdcBlock::process_batch(
     std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
-    std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
+    std::vector<sim::LaneBank>& outputs) {
   const bool shared_noise = lane_noise_seeds_.empty();
   if (lane_weights_.empty() && shared_noise && inputs.at(0)->uniform()) {
-    sim::Block::process_batch(lanes, inputs, outputs, arena);
+    sim::Block::process_batch(lanes, inputs, outputs);
     return;
   }
   const sim::LaneBank& x = *inputs.at(0);
@@ -234,10 +226,8 @@ void SarAdcBlock::process_batch(
   const std::size_t n_samples = x.samples();
   const std::size_t n_draws = n_samples * static_cast<std::size_t>(n);
 
-  sim::LaneBank bank =
-      sim::LaneBank::acquire(arena, x.fs(), lanes, n_samples,
-                             /*uniform=*/false);
-  std::vector<double> noise = arena.acquire(n_draws);
+  sim::LaneBank bank(x.fs(), lanes, n_samples, /*uniform=*/false);
+  std::vector<double> noise(n_draws);
   if (shared_noise) {
     // One shared comparator stream: K scalar instances seeded identically
     // would each draw this exact sequence, so one bulk fill serves all
@@ -256,7 +246,6 @@ void SarAdcBlock::process_batch(
                       n_samples, v_fs, sigma_cmp_norm, code_scale);
   }
   ++run_;
-  arena.release(std::move(noise));
   outputs.push_back(std::move(bank));
 }
 

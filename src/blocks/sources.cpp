@@ -1,10 +1,8 @@
 #include "blocks/sources.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
-#include "sim/arena.hpp"
 #include "util/error.hpp"
 
 namespace efficsense::blocks {
@@ -22,17 +20,6 @@ std::vector<sim::Waveform> WaveformSource::process(
   EFF_REQUIRE(in.empty(), "source takes no inputs");
   EFF_REQUIRE(!waveform_.empty(), "WaveformSource has no waveform set");
   return {waveform_};
-}
-
-std::vector<sim::Waveform> WaveformSource::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
-  EFF_REQUIRE(in.empty(), "source takes no inputs");
-  EFF_REQUIRE(!waveform_.empty(), "WaveformSource has no waveform set");
-  // Copy into an arena buffer so repeated runs reuse the same capacity.
-  sim::Waveform out = arena.acquire_waveform(waveform_.fs, waveform_.size());
-  std::copy(waveform_.samples.begin(), waveform_.samples.end(),
-            out.samples.begin());
-  return {std::move(out)};
 }
 
 SineSource::SineSource(std::string name, double fs, double duration_s,
@@ -55,15 +42,9 @@ SineSource::SineSource(std::string name, double fs, double duration_s,
 
 std::vector<sim::Waveform> SineSource::process(
     const std::vector<sim::Waveform>& in) {
-  sim::WaveformArena scratch;
-  return process(in, scratch);
-}
-
-std::vector<sim::Waveform> SineSource::process(
-    const std::vector<sim::Waveform>& in, sim::WaveformArena& arena) {
   EFF_REQUIRE(in.empty(), "source takes no inputs");
   const auto n = static_cast<std::size_t>(fs_ * duration_s_);
-  sim::Waveform out = arena.acquire_waveform(fs_, n);
+  sim::Waveform out(fs_, std::vector<double>(n));
   for (std::size_t k = 0; k < n; ++k) {
     const double t = static_cast<double>(k) / fs_;
     out.samples[k] = offset_ + amplitude_ * std::sin(2.0 * std::numbers::pi *

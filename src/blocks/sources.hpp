@@ -16,8 +16,6 @@ class WaveformSource final : public sim::Block, public sim::WaveformSettable {
 
   void set_waveform(sim::Waveform w) override;
   std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
 
  private:
   sim::Waveform waveform_;
@@ -30,8 +28,6 @@ class SineSource final : public sim::Block {
              double amplitude, double offset = 0.0, double phase_rad = 0.0);
 
   std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
-  std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in,
-                                     sim::WaveformArena& arena) override;
 
  private:
   double fs_;

@@ -56,7 +56,7 @@ std::vector<sim::Waveform> TransmitterBlock::process(
 
 void TransmitterBlock::process_batch(
     std::size_t lanes, const std::vector<const sim::LaneBank*>& inputs,
-    std::vector<sim::LaneBank>& outputs, sim::WaveformArena& arena) {
+    std::vector<sim::LaneBank>& outputs) {
   const sim::LaneBank& x = *inputs.at(0);
   const bool shared = lane_noise_seeds_.empty();
   EFF_REQUIRE(shared || lane_noise_seeds_.size() == lanes,
@@ -66,19 +66,15 @@ void TransmitterBlock::process_batch(
   if (ber_ == 0.0) {
     // Lossless link: forward the bank unchanged (uniformity preserved) and
     // only account the transmitted bits; the channel stream is untouched.
-    sim::LaneBank bank = sim::LaneBank::acquire(arena, x.fs(), lanes,
-                                                x.samples(), x.uniform());
-    std::copy(x.data().begin(), x.data().end(), bank.data().begin());
     ++run_;
-    outputs.push_back(std::move(bank));
+    outputs.push_back(x);
     return;
   }
   const int n_bits = design_.adc_bits;
   const double v_fs = design_.v_fs;
   const double levels = std::pow(2.0, n_bits);
   const std::size_t n = x.samples();
-  sim::LaneBank bank =
-      sim::LaneBank::acquire(arena, x.fs(), lanes, n, /*uniform=*/false);
+  sim::LaneBank bank(x.fs(), lanes, n, /*uniform=*/false);
   for (std::size_t k = 0; k < lanes; ++k) {
     // Each lane replays the scalar per-run stream: shared mode re-seeds the
     // same generator per lane (identical flips across lanes, as K scalar

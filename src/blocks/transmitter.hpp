@@ -19,8 +19,7 @@ class TransmitterBlock final : public sim::Block {
   std::vector<sim::Waveform> process(const std::vector<sim::Waveform>& in) override;
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
-                     std::vector<sim::LaneBank>& outputs,
-                     sim::WaveformArena& arena) override;
+                     std::vector<sim::LaneBank>& outputs) override;
   void reset() override;
 
   double power_watts() const override;

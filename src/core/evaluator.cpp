@@ -47,7 +47,7 @@ Evaluator::Evaluator(power::TechnologyParams tech, const eeg::Dataset* dataset,
     arch::ArchRegistry::instance().get(options_.architecture);
   }
   // Same early-failure contract for the decode solver.
-  cs::SolverRegistry::instance().get(options_.recon.solver_id());
+  cs::SolverRegistry::instance().get(options_.recon.solver);
 }
 
 cs::ReconstructorConfig Evaluator::point_recon(
@@ -75,7 +75,7 @@ std::uint64_t Evaluator::config_digest() const {
   append_bits(bytes, tech_.temperature_k);
   // Reconstruction configuration.
   const auto& rc = options_.recon;
-  bytes.push_back(static_cast<char>(rc.algorithm));
+  bytes.push_back(0);  // the retired algorithm enum: keeps digests stable
   bytes.push_back(static_cast<char>(rc.basis));
   append_u64(bytes, rc.sparsity);
   append_bits(bytes, rc.residual_tol);
@@ -83,9 +83,9 @@ std::uint64_t Evaluator::config_digest() const {
   append_u64(bytes, rc.basis_atoms);
   bytes.push_back(rc.compensate_decay ? 1 : 0);
   bytes.push_back(static_cast<char>(rc.omp_mode));
-  // The resolved decode solver id: journals refuse results produced by a
-  // run configured with a different solver.
-  bytes += rc.solver_id();
+  // The decode solver id: journals refuse results produced by a run
+  // configured with a different solver.
+  bytes += rc.solver;
   bytes.push_back('\n');
   // Chain seeds and segment cap.
   append_u64(bytes, options_.seeds.mismatch);
@@ -117,7 +117,7 @@ Evaluator::SegmentOutcome Evaluator::process_segment(
     sim::Model& chain, const arch::Decoder& decoder,
     const power::DesignParams& design, const sim::Waveform& clean) const {
   SegmentOutcome out;
-  const sim::Waveform received = run_chain(chain, clean);
+  const sim::Waveform received = arch::run_chain(chain, clean);
 
   // At LNA-output scale; rate f_sample for reconstructing decoders, the
   // compressed f_sample * M / N_Phi for the measurement-domain path.
@@ -217,7 +217,7 @@ EvalMetrics Evaluator::evaluate(const power::DesignParams& design) const {
 
 std::vector<EvalMetrics> Evaluator::evaluate_lanes(
     const power::DesignParams& design,
-    const std::vector<ChainSeeds>& lane_seeds) const {
+    const std::vector<arch::ChainSeeds>& lane_seeds) const {
   if (lane_seeds.size() < 2) return {};  // scalar path covers K <= 1
   design.validate();
   const arch::Architecture& architecture =
@@ -266,7 +266,7 @@ std::vector<EvalMetrics> Evaluator::evaluate_lanes(
   for (std::size_t i = 0; i < limit; ++i) {
     const auto& segment = dataset_->segments[i];
     const sim::LaneBank& received =
-        run_chain_batch(*chain, segment.waveform, lanes);
+        arch::run_chain_batch(*chain, segment.waveform, lanes);
     for (std::size_t k = 0; k < lanes; ++k) rows[k] = received.lane(k);
     const auto signals =
         decoder->decode_lanes(rows, received.samples(), pool_);

@@ -14,7 +14,7 @@ namespace efficsense::core {
 
 PathfindingOptimizer::PathfindingOptimizer(EvaluateFn evaluate,
                                            power::DesignParams base,
-                                           DesignSpace space)
+                                           arch::DesignSpace space)
     : evaluate_(std::move(evaluate)), base_(base), space_(std::move(space)) {
   EFF_REQUIRE(static_cast<bool>(evaluate_), "optimizer needs an evaluator");
   EFF_REQUIRE(space_.axis_count() > 0, "optimizer needs at least one axis");
@@ -22,7 +22,7 @@ PathfindingOptimizer::PathfindingOptimizer(EvaluateFn evaluate,
 
 PathfindingOptimizer::PathfindingOptimizer(const Evaluator* evaluator,
                                            power::DesignParams base,
-                                           DesignSpace space)
+                                           arch::DesignSpace space)
     : PathfindingOptimizer(
           [evaluator](const power::DesignParams& d) {
             return evaluator->evaluate(d);
@@ -66,7 +66,7 @@ OptimizerResult PathfindingOptimizer::run(
   std::vector<std::size_t> position(axes.size());
 
   auto point_from = [&](const std::vector<std::size_t>& idx) {
-    PointValues p;
+    arch::PointValues p;
     for (std::size_t a = 0; a < axes.size(); ++a) {
       p[axes[a].first] = axes[a].second[idx[a]];
     }
@@ -77,7 +77,7 @@ OptimizerResult PathfindingOptimizer::run(
       [&](const std::vector<std::size_t>& idx) -> std::optional<std::size_t> {
     if (result.evaluated.size() >= options.budget) return std::nullopt;
     const auto point = point_from(idx);
-    const auto key = point_to_string(point);
+    const auto key = arch::point_to_string(point);
     if (auto it = seen.find(key); it != seen.end()) {
       obs::counter("optimizer/dedup_hits").inc();
       return it->second;
@@ -86,7 +86,7 @@ OptimizerResult PathfindingOptimizer::run(
     obs::counter("optimizer/evals").inc();
     SweepResult r;
     r.point = point;
-    r.design = apply_point(base_, point);
+    r.design = arch::apply_point(base_, point);
     r.metrics = evaluate_(r.design);
     result.evaluated.push_back(std::move(r));
     const std::size_t index = result.evaluated.size() - 1;

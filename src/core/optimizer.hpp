@@ -9,7 +9,7 @@
 #include <optional>
 #include <string>
 
-#include "core/design_space.hpp"
+#include "arch/design_space.hpp"
 #include "core/evaluator.hpp"
 #include "core/study.hpp"
 
@@ -39,10 +39,10 @@ class PathfindingOptimizer {
 
   /// Generic form (unit-testable with analytic objectives).
   PathfindingOptimizer(EvaluateFn evaluate, power::DesignParams base,
-                       DesignSpace space);
+                       arch::DesignSpace space);
   /// Convenience: bind to a full Evaluator.
   PathfindingOptimizer(const Evaluator* evaluator, power::DesignParams base,
-                       DesignSpace space);
+                       arch::DesignSpace space);
 
   OptimizerResult run(
       const OptimizerOptions& options = {},
@@ -51,7 +51,7 @@ class PathfindingOptimizer {
  private:
   EvaluateFn evaluate_;
   power::DesignParams base_;
-  DesignSpace space_;
+  arch::DesignSpace space_;
 };
 
 }  // namespace efficsense::core

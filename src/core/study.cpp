@@ -114,13 +114,13 @@ StudyResult Study::run(const std::function<void(const std::string&)>& log,
 
   detector_ = train_or_load_detector(log);
 
-  DesignSpace baseline_space;
+  arch::DesignSpace baseline_space;
   std::vector<double> noise_v;
   for (double uv : config_.noise_grid_uv) noise_v.push_back(uv * 1e-6);
   baseline_space.add_axis("lna_noise_vrms", noise_v)
       .add_axis("adc_bits", config_.bits_grid)
       .add_axis("dac_c_unit_f", config_.dac_cu_grid_f);
-  DesignSpace cs_space;
+  arch::DesignSpace cs_space;
   cs_space.add_axis("lna_noise_vrms", noise_v)
       .add_axis("adc_bits", config_.bits_grid)
       .add_axis("cs_m", config_.cs_m_grid)
@@ -191,7 +191,7 @@ StudyResult Study::run(const std::function<void(const std::string&)>& log,
   ThreadPool pool(static_cast<std::size_t>(
       std::max<std::int64_t>(0, env_int("EFFICSENSE_THREADS", 0))));
 
-  auto execute = [&](const power::DesignParams& base, const DesignSpace& space,
+  auto execute = [&](const power::DesignParams& base, const arch::DesignSpace& space,
                      const char* name) {
     if (exec) return exec(evaluator, base, space, name, &pool, progress(name));
     return sweeper.run(base, space, &pool, progress(name));
@@ -217,7 +217,7 @@ StudyResult Study::run(const std::function<void(const std::string&)>& log,
 std::string describe_result(const SweepResult& r) {
   std::ostringstream os;
   os << arch::ArchRegistry::instance().for_design(r.design).id() << " ["
-     << point_to_string(r.point) << "] power=" << format_power(r.metrics.power_w)
+     << arch::point_to_string(r.point) << "] power=" << format_power(r.metrics.power_w)
      << " snr=" << format_number(r.metrics.snr_db)
      << " dB acc=" << format_number(100.0 * r.metrics.accuracy)
      << " % area=" << format_number(r.metrics.area_unit_caps) << " Cu";

@@ -66,7 +66,7 @@ std::vector<Candidate> make_candidates(const std::vector<SweepResult>& results,
 /// enumeration order (a sharded executor returns only its slice; the study
 /// then skips caching the partial sweep).
 using SweepExec = std::function<std::vector<SweepResult>(
-    const Evaluator&, const power::DesignParams&, const DesignSpace&,
+    const Evaluator&, const power::DesignParams&, const arch::DesignSpace&,
     const std::string&, ThreadPool*,
     const std::function<void(std::size_t, std::size_t)>&)>;
 

@@ -18,7 +18,7 @@ Sweeper::Sweeper(const Evaluator* evaluator) : evaluator_(evaluator) {
 }
 
 std::vector<SweepResult> Sweeper::run(
-    const power::DesignParams& base, const DesignSpace& space,
+    const power::DesignParams& base, const arch::DesignSpace& space,
     ThreadPool* pool,
     const std::function<void(std::size_t, std::size_t)>& progress) const {
   using clock = std::chrono::steady_clock;
@@ -41,7 +41,7 @@ std::vector<SweepResult> Sweeper::run(
     const auto start = clock::now();
     SweepResult r;
     r.point = space.point(i);
-    r.design = apply_point(base, r.point);
+    r.design = arch::apply_point(base, r.point);
     r.metrics = evaluator_->evaluate(r.design);
     results[i] = std::move(r);
     point_hist.observe(
@@ -136,8 +136,8 @@ std::vector<std::string> split_csv_line(const std::string& line) {
 
 }  // namespace
 
-PointValues parse_point(const std::string& text) {
-  PointValues out;
+arch::PointValues parse_point(const std::string& text) {
+  arch::PointValues out;
   if (text.empty()) return out;
   std::istringstream is(text);
   std::string item;
@@ -152,7 +152,7 @@ PointValues parse_point(const std::string& text) {
 std::string sweep_result_to_row(const SweepResult& r) {
   std::ostringstream os;
   os.precision(17);
-  os << point_to_string(r.point) << "," << r.metrics.snr_db << ","
+  os << arch::point_to_string(r.point) << "," << r.metrics.snr_db << ","
      << r.metrics.accuracy << "," << r.metrics.power_w << ","
      << r.metrics.area_unit_caps << "," << r.metrics.segments_evaluated << ","
      << breakdown_to_string(r.metrics.power_breakdown.entries()) << ","
@@ -166,7 +166,7 @@ SweepResult parse_sweep_row(const std::string& row,
   EFF_REQUIRE(cells.size() == 8, "malformed sweep CSV row");
   SweepResult r;
   r.point = parse_point(cells[0]);
-  r.design = apply_point(base, r.point);
+  r.design = arch::apply_point(base, r.point);
   r.metrics.snr_db = std::stod(cells[1]);
   r.metrics.accuracy = std::stod(cells[2]);
   r.metrics.power_w = std::stod(cells[3]);

@@ -8,14 +8,14 @@
 #include <string>
 #include <vector>
 
-#include "core/design_space.hpp"
+#include "arch/design_space.hpp"
 #include "core/evaluator.hpp"
 #include "util/thread_pool.hpp"
 
 namespace efficsense::core {
 
 struct SweepResult {
-  PointValues point;
+  arch::PointValues point;
   power::DesignParams design;
   EvalMetrics metrics;
 };
@@ -30,7 +30,7 @@ class Sweeper {
   /// and with strictly increasing `done` (the same count feeds the
   /// "sweep/progress" obs gauge).
   std::vector<SweepResult> run(
-      const power::DesignParams& base, const DesignSpace& space,
+      const power::DesignParams& base, const arch::DesignSpace& space,
       ThreadPool* pool = nullptr,
       const std::function<void(std::size_t, std::size_t)>& progress = {}) const;
 
@@ -60,6 +60,6 @@ std::vector<SweepResult> sweep_from_csv(const std::string& csv,
                                         const power::DesignParams& base);
 
 /// Parse "a=1;b=2" back into PointValues (inverse of point_to_string).
-PointValues parse_point(const std::string& text);
+arch::PointValues parse_point(const std::string& text);
 
 }  // namespace efficsense::core

@@ -10,18 +10,6 @@
 
 namespace efficsense::cs {
 
-std::string recon_algorithm_id(ReconAlgorithm algorithm) {
-  switch (algorithm) {
-    case ReconAlgorithm::Omp:
-      return "omp";
-    case ReconAlgorithm::Iht:
-      return "iht";
-    case ReconAlgorithm::Ista:
-      return "ista";
-  }
-  throw Error("invalid ReconAlgorithm value");
-}
-
 Reconstructor::Reconstructor(const SparseBinaryMatrix& phi,
                              ChargeSharingGains gains,
                              ReconstructorConfig config)
@@ -29,10 +17,9 @@ Reconstructor::Reconstructor(const SparseBinaryMatrix& phi,
   EFF_REQUIRE(m_ > 0 && n_ > 0, "empty sensing matrix");
   EFFICSENSE_SPAN("recon/setup");
 
-  const std::string solver_id = config_.solver_id();
-  const SparseSolver& solver = SolverRegistry::instance().get(solver_id);
+  const SparseSolver& solver = SolverRegistry::instance().get(config_.solver);
   if (!solver.reconstructs()) {
-    throw Error("solver '" + solver_id +
+    throw Error("solver '" + config_.solver +
                 "' does not reconstruct; the architecture layer must route "
                 "it to a measurement-domain decoder instead of a "
                 "cs::Reconstructor");

@@ -40,7 +40,7 @@ struct WorkerView {
 
 }  // namespace
 
-Coordinator::Coordinator(power::DesignParams base, core::DesignSpace space,
+Coordinator::Coordinator(power::DesignParams base, arch::DesignSpace space,
                          CoordinatorOptions options)
     : base_(std::move(base)),
       space_(std::move(space)),
@@ -114,7 +114,7 @@ CoordinatorOutcome Coordinator::run(const DurableSweeper::Progress& progress) {
         EFF_REQUIRE(rec.index < total,
                     "journal record index out of range in " + path);
         EFF_REQUIRE(
-            rec.point_hash == core::hash_point(space_.point(rec.index)),
+            rec.point_hash == arch::hash_point(space_.point(rec.index)),
             "journal point hash does not match the design space in " + path);
         if (settled[rec.index]) {
           ++stats.duplicate_points;

@@ -36,7 +36,7 @@
 #include <string>
 #include <vector>
 
-#include "core/design_space.hpp"
+#include "arch/design_space.hpp"
 #include "power/tech.hpp"
 #include "run/durable.hpp"
 #include "run/fleet.hpp"
@@ -81,7 +81,7 @@ struct CoordinatorOutcome {
 
 class Coordinator {
  public:
-  Coordinator(power::DesignParams base, core::DesignSpace space,
+  Coordinator(power::DesignParams base, arch::DesignSpace space,
               CoordinatorOptions options);
 
   /// Clear the spool's control state (manifest, done marker, lease files)
@@ -98,7 +98,7 @@ class Coordinator {
 
  private:
   power::DesignParams base_;
-  core::DesignSpace space_;
+  arch::DesignSpace space_;
   CoordinatorOptions options_;
 };
 

@@ -117,7 +117,7 @@ DurableSweeper::DurableSweeper(EvalFn eval, RunOptions options)
 
 JournalHeader make_header(const RunOptions& options,
                           const power::DesignParams& base,
-                          const core::DesignSpace& space) {
+                          const arch::DesignSpace& space) {
   JournalHeader h;
   // The header digest covers the caller's evaluator digest plus the base
   // design the point overrides apply to; the space digest rides separately.
@@ -135,7 +135,7 @@ JournalHeader make_header(const RunOptions& options,
 }
 
 RunOutcome DurableSweeper::run(const power::DesignParams& base,
-                               const core::DesignSpace& space,
+                               const arch::DesignSpace& space,
                                ThreadPool* pool,
                                const Progress& progress) const {
   EFFICSENSE_SPAN("run/sweep");
@@ -186,7 +186,7 @@ RunOutcome DurableSweeper::run(const power::DesignParams& base,
         EFF_REQUIRE(rec.index < total && shard.owns(rec.index),
                     "journal record outside this shard's slice; refusing "
                     "to resume: " + options_.journal_path);
-        EFF_REQUIRE(rec.point_hash == core::hash_point(space.point(rec.index)),
+        EFF_REQUIRE(rec.point_hash == arch::hash_point(space.point(rec.index)),
                     "journal point hash does not match the design space; "
                     "refusing to resume: " + options_.journal_path);
         if (settled[rec.index]) continue;  // duplicate record: first wins
@@ -265,11 +265,11 @@ RunOutcome DurableSweeper::run(const power::DesignParams& base,
     EFFICSENSE_SPAN("run/point");
     const std::uint64_t idx = pending[k];
     const auto point = space.point(idx);
-    const auto design = core::apply_point(base, point);
+    const auto design = arch::apply_point(base, point);
 
     JournalRecord rec;
     rec.index = idx;
-    rec.point_hash = core::hash_point(point);
+    rec.point_hash = arch::hash_point(point);
     bool ok = false;
     core::EvalMetrics metrics;
     std::string error;
@@ -483,7 +483,7 @@ core::SweepExec journaled_sweep_exec(std::string dir,
   if (base_options.shard.whole()) base_options.shard = shard_from_env();
   return [dir = std::move(dir), base_options](
              const core::Evaluator& evaluator,
-             const power::DesignParams& base, const core::DesignSpace& space,
+             const power::DesignParams& base, const arch::DesignSpace& space,
              const std::string& name, ThreadPool* pool,
              const std::function<void(std::size_t, std::size_t)>& progress) {
     RunOptions options = base_options;

@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "core/design_space.hpp"
+#include "arch/design_space.hpp"
 #include "core/evaluator.hpp"
 #include "core/study.hpp"
 #include "core/sweep.hpp"
@@ -70,7 +70,7 @@ struct RunOptions {
 
 struct QuarantinedPoint {
   std::uint64_t index = 0;
-  core::PointValues point;
+  arch::PointValues point;
   std::string error;
   std::uint32_t attempts = 0;
 };
@@ -102,7 +102,7 @@ class DurableSweeper {
   /// `progress` follows the Sweeper contract: (done, owned_total), strictly
   /// increasing, including points adopted from the journal.
   RunOutcome run(const power::DesignParams& base,
-                 const core::DesignSpace& space, ThreadPool* pool = nullptr,
+                 const arch::DesignSpace& space, ThreadPool* pool = nullptr,
                  const Progress& progress = {}) const;
 
   const RunOptions& options() const { return options_; }
@@ -116,7 +116,7 @@ class DurableSweeper {
 /// and merge tooling can reason about compatibility.
 JournalHeader make_header(const RunOptions& options,
                           const power::DesignParams& base,
-                          const core::DesignSpace& space);
+                          const arch::DesignSpace& space);
 
 /// Combine shard journals into one complete result set. All journals must
 /// carry compatible headers (same config/space digests and point count),

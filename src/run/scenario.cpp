@@ -22,7 +22,7 @@ namespace {
 /// those points score it directly on y.
 bool scenario_uses_measurement_domain(const arch::ScenarioSpec& spec) {
   auto& registry = cs::SolverRegistry::instance();
-  if (!registry.get(spec.recon.solver_id()).reconstructs()) return true;
+  if (!registry.get(spec.recon.solver).reconstructs()) return true;
   for (const auto& [name, values] : spec.space.axes()) {
     if (name != "solver") continue;
     for (const double v : values) {

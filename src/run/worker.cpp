@@ -92,7 +92,7 @@ class HeartbeatBeacon {
 }  // namespace
 
 Worker::Worker(DurableSweeper::EvalFn eval, const power::DesignParams& base,
-               const core::DesignSpace& space, WorkerOptions options)
+               const arch::DesignSpace& space, WorkerOptions options)
     : eval_(std::move(eval)),
       base_(base),
       space_(space),
@@ -157,7 +157,7 @@ WorkerOutcome Worker::run() {
     for (const auto& rec : existing->records) {
       EFF_REQUIRE(rec.index < total &&
                       rec.point_hash ==
-                          core::hash_point(space_.point(rec.index)),
+                          arch::hash_point(space_.point(rec.index)),
                   "journal record does not match the design space; refusing "
                   "to resume: " + journal_path);
       if (!mine[rec.index]) {
@@ -218,10 +218,10 @@ WorkerOutcome Worker::run() {
   const auto evaluate_point = [&](std::uint64_t idx, double queued_at_s) {
     EFFICSENSE_SPAN("run/point");
     const auto point = space_.point(idx);
-    const auto design = core::apply_point(base_, point);
+    const auto design = arch::apply_point(base_, point);
     JournalRecord rec;
     rec.index = idx;
-    rec.point_hash = core::hash_point(point);
+    rec.point_hash = arch::hash_point(point);
     PointEvent ev;
     ev.index = idx;
     ev.t_queue_s = queued_at_s;

@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <string>
 
-#include "core/design_space.hpp"
+#include "arch/design_space.hpp"
 #include "power/tech.hpp"
 #include "run/durable.hpp"
 #include "run/fleet.hpp"
@@ -54,7 +54,7 @@ struct WorkerOutcome {
 class Worker {
  public:
   Worker(DurableSweeper::EvalFn eval, const power::DesignParams& base,
-         const core::DesignSpace& space, WorkerOptions options);
+         const arch::DesignSpace& space, WorkerOptions options);
 
   /// Serve leases until the coordinator writes done.json (normal exit) or
   /// its status heartbeat goes stale/disappears (orphaned worker, returns
@@ -67,7 +67,7 @@ class Worker {
  private:
   DurableSweeper::EvalFn eval_;
   power::DesignParams base_;
-  core::DesignSpace space_;
+  arch::DesignSpace space_;
   WorkerOptions options_;
 };
 

@@ -77,7 +77,7 @@ EpochDetection DecodePipeline::decode(const EpochRequest& req) const {
   double fs_detect = fs;
   if (h.m > 0) {
     const cs::SparseSolver& solver =
-        cs::SolverRegistry::instance().get(ctx.spec.recon.solver_id());
+        cs::SolverRegistry::instance().get(ctx.spec.recon.solver);
     if (!solver.reconstructs()) {
       // Compressed-domain scenario: the gateway skips reconstruction and
       // feeds the detector the measurement stream (whole frames) at the

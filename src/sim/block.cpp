@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/arena.hpp"
 #include "util/error.hpp"
 
 namespace efficsense::sim {
@@ -14,7 +13,7 @@ Block::Block(std::string name, std::size_t num_inputs, std::size_t num_outputs)
 
 void Block::process_batch(std::size_t lanes,
                           const std::vector<const LaneBank*>& inputs,
-                          std::vector<LaneBank>& outputs, WaveformArena& arena) {
+                          std::vector<LaneBank>& outputs) {
   EFF_REQUIRE(lanes >= 1, "process_batch needs at least one lane");
   EFF_REQUIRE(inputs.size() == num_inputs_,
               "wrong number of input banks for " + name_);
@@ -33,7 +32,7 @@ void Block::process_batch(std::size_t lanes,
     for (std::size_t p = 0; p < inputs.size(); ++p) {
       scratch[p] = inputs[p]->lane_waveform(0);
     }
-    auto outs = process(scratch, arena);
+    auto outs = process(scratch);
     EFF_REQUIRE(outs.size() == num_outputs_,
                 "block " + name_ + " produced wrong number of outputs");
     for (auto& w : outs) {
@@ -49,20 +48,18 @@ void Block::process_batch(std::size_t lanes,
     for (std::size_t p = 0; p < inputs.size(); ++p) {
       scratch[p] = inputs[p]->lane_waveform(k);
     }
-    auto outs = process(scratch, arena);
+    auto outs = process(scratch);
     EFF_REQUIRE(outs.size() == num_outputs_,
                 "block " + name_ + " produced wrong number of outputs");
     for (std::size_t p = 0; p < outs.size(); ++p) {
       if (k == 0) {
-        outputs.push_back(LaneBank::acquire(arena, outs[p].fs, lanes,
-                                            outs[p].size(),
-                                            /*uniform=*/false));
+        outputs.emplace_back(outs[p].fs, lanes, outs[p].size(),
+                             /*uniform=*/false);
       }
       EFF_REQUIRE(outs[p].size() == outputs[base + p].samples(),
                   "block " + name_ + " emitted lane-dependent lengths");
       std::copy(outs[p].samples.begin(), outs[p].samples.end(),
                 outputs[base + p].lane(k));
-      arena.release(std::move(outs[p]));
     }
   }
 }

@@ -16,8 +16,6 @@
 
 namespace efficsense::sim {
 
-class WaveformArena;
-
 class Block {
  public:
   Block(std::string name, std::size_t num_inputs, std::size_t num_outputs);
@@ -31,24 +29,15 @@ class Block {
   std::size_t num_outputs() const { return num_outputs_; }
 
   /// Functional model: consume one waveform per input port, produce one per
-  /// output port. Called once per simulation run.
+  /// output port. The scalar reference every lane of process_batch() must
+  /// reproduce.
   virtual std::vector<Waveform> process(const std::vector<Waveform>& inputs) = 0;
 
-  /// Arena-aware variant used by Model::run(): output (and scratch) buffers
-  /// may be acquired from `arena`, whose storage is recycled between runs.
-  /// Blocks without a vectorized hot loop fall through to plain process();
-  /// hot blocks override both, with the plain overload delegating to this
-  /// one through a throwaway arena.
-  virtual std::vector<Waveform> process(const std::vector<Waveform>& inputs,
-                                        WaveformArena& arena) {
-    (void)arena;
-    return process(inputs);
-  }
-
-  /// Batched (K-lane) variant used by Model::run_batch(): one call advances
-  /// all `lanes` Monte-Carlo lanes of this block at once. `inputs` holds one
-  /// LaneBank per input port; the implementation must append exactly
-  /// num_outputs() banks (each with `lanes` lanes) to `outputs`.
+  /// Batched (K-lane) step, the only entry point Model calls (run() is
+  /// run_batch(1)): one call advances all `lanes` Monte-Carlo lanes of this
+  /// block at once. `inputs` holds one LaneBank per input port; the
+  /// implementation must append exactly num_outputs() banks (each with
+  /// `lanes` lanes) to `outputs`.
   ///
   /// Default contract (see DESIGN.md §12):
   ///  - all inputs uniform -> the block is assumed lane-invariant: process()
@@ -64,8 +53,7 @@ class Block {
   ///    this method to stay bit-identical to the scalar oracle.
   virtual void process_batch(std::size_t lanes,
                              const std::vector<const LaneBank*>& inputs,
-                             std::vector<LaneBank>& outputs,
-                             WaveformArena& arena);
+                             std::vector<LaneBank>& outputs);
 
   /// Clear internal state (filters, noise streams resume their sequence).
   virtual void reset() {}

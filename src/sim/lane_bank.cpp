@@ -1,20 +1,17 @@
 #include "sim/lane_bank.hpp"
 
-#include "sim/arena.hpp"
 #include "util/error.hpp"
 
 namespace efficsense::sim {
 
-LaneBank LaneBank::acquire(WaveformArena& arena, double fs, std::size_t lanes,
-                           std::size_t samples, bool uniform) {
+LaneBank::LaneBank(double fs, std::size_t lanes, std::size_t samples,
+                   bool uniform)
+    : fs_(fs),
+      lanes_(lanes),
+      samples_(samples),
+      uniform_(uniform),
+      data_((uniform ? 1 : lanes) * samples) {
   EFF_REQUIRE(lanes >= 1, "a lane bank needs at least one lane");
-  LaneBank bank;
-  bank.fs_ = fs;
-  bank.lanes_ = lanes;
-  bank.samples_ = samples;
-  bank.uniform_ = uniform;
-  bank.data_ = arena.acquire((uniform ? 1 : lanes) * samples);
-  return bank;
 }
 
 LaneBank LaneBank::adopt(double fs, std::size_t lanes, std::size_t samples,
@@ -38,15 +35,6 @@ Waveform LaneBank::lane_waveform(std::size_t k) const {
   const double* row = lane(k);
   w.samples.assign(row, row + samples_);
   return w;
-}
-
-void LaneBank::release_to(WaveformArena& arena) {
-  arena.release(std::move(data_));
-  data_.clear();
-  lanes_ = 0;
-  samples_ = 0;
-  uniform_ = false;
-  fs_ = 0.0;
 }
 
 }  // namespace efficsense::sim

@@ -23,16 +23,12 @@
 
 namespace efficsense::sim {
 
-class WaveformArena;
-
 class LaneBank {
  public:
   LaneBank() = default;
 
-  /// Bank with arena-recycled storage and UNSPECIFIED contents (like
-  /// WaveformArena::acquire): the caller must write every stored row.
-  static LaneBank acquire(WaveformArena& arena, double fs, std::size_t lanes,
-                          std::size_t samples, bool uniform);
+  /// Bank with zero-filled storage: one row when `uniform`, else `lanes`.
+  LaneBank(double fs, std::size_t lanes, std::size_t samples, bool uniform);
 
   /// Adopt an existing buffer as the bank's storage. `data` must hold
   /// `samples` values for a uniform bank, `lanes * samples` otherwise.
@@ -66,9 +62,6 @@ class LaneBank {
   /// The raw rows() * samples() storage.
   std::vector<double>& data() { return data_; }
   const std::vector<double>& data() const { return data_; }
-
-  /// Donate the storage back to an arena and empty the bank.
-  void release_to(WaveformArena& arena);
 
  private:
   double fs_ = 0.0;

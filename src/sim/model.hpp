@@ -3,20 +3,20 @@
 // executed once per run. Unconnected output ports become the model outputs
 // (scopes); blocks without inputs are sources.
 //
-// Monte-Carlo hot path: the topological schedule and the port-routing
-// table are computed once and cached (invalidated by add()/connect()), and
-// every block's output buffer is recycled through a WaveformArena, so
-// repeated run() calls pay zero graph overhead and no steady-state heap
-// allocation. EFFICSENSE_SIM_HOT=0 (or set_fast_path(false)) restores the
-// legacy rebuild-every-run behaviour for A/B benchmarking.
+// One execution path: the topological schedule and the port-routing table
+// are compiled once into a StepPlan (invalidated by add()/connect()), and
+// run_batch(K) walks it with every port carried as a K-lane LaneBank. A
+// scalar run() is run_batch(1): a single lane, where every bank a source
+// emits is uniform and each block's default process_batch() runs its scalar
+// process() once.
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "sim/arena.hpp"
 #include "sim/block.hpp"
 #include "sim/report.hpp"
 #include "sim/waveform.hpp"
@@ -25,7 +25,7 @@ namespace efficsense::sim {
 
 using BlockId = std::size_t;
 
-/// Per-block execution accounting accumulated across run() calls: how many
+/// Per-block execution accounting accumulated across runs: how many
 /// times each block ran, how many samples it emitted and how much wall time
 /// it took. The runtime twin of PowerReport — where the *simulation* cost
 /// goes, next to where the modeled energy goes.
@@ -36,8 +36,8 @@ struct RunStats {
     std::uint64_t samples_out = 0;
     double seconds = 0.0;
   };
-  std::uint64_t runs = 0;       ///< completed Model::run() calls
-  double total_seconds = 0.0;   ///< wall time inside run()
+  std::uint64_t runs = 0;       ///< completed run() / run_batch() calls
+  double total_seconds = 0.0;   ///< wall time inside them
   std::vector<BlockStats> blocks;  ///< in block-id order
 
   /// Aligned per-block table with time shares (mirrors PowerReport::to_string).
@@ -57,8 +57,6 @@ struct PortRef {
 
 class Model {
  public:
-  Model();
-
   /// Takes ownership; block names must be unique within the model.
   BlockId add(BlockPtr block);
 
@@ -90,27 +88,24 @@ class Model {
   /// Chain a sequence of single-port blocks in order.
   void chain(const std::vector<BlockId>& ids);
 
-  /// Execute the model. Every input port must be driven; returns the
-  /// waveforms of all unconnected output ports in (block-id, port) order.
+  /// Execute the model once: run_batch(1), returning lane 0 of every
+  /// unconnected output port in (block-id, port) order. Every input port
+  /// must be driven.
   std::vector<Waveform> run();
 
   /// Execute the model across `lanes` Monte-Carlo lanes in lockstep: the
   /// cached StepPlan is walked once and each block advances all lanes via
-  /// process_batch() (structure-of-arrays LaneBanks, recycled through the
-  /// arena like run()'s waveforms). Returns pointers to the unconnected
-  /// output ports' banks in (block-id, port) order; they stay valid until
-  /// the next run()/run_batch()/reset(). Lane k of every bank is
-  /// bit-identical to what run() would produce for the scalar instance the
-  /// lane was seeded as (see Block::process_batch for the contract).
+  /// process_batch() (structure-of-arrays LaneBanks). Returns pointers to
+  /// the unconnected output ports' banks in (block-id, port) order; they
+  /// stay valid until the next run()/run_batch()/reset(). Lane k of every
+  /// bank is bit-identical to what a one-lane run would produce for the
+  /// scalar instance the lane was seeded as (see Block::process_batch).
   std::vector<const LaneBank*> run_batch(std::size_t lanes);
 
-  /// Waveform observed on a specific output port during the last run()
-  /// (tap / scope support, also for connected ports).
-  const Waveform& probe(const std::string& block_name, std::size_t port = 0) const;
-
-  /// Bank observed on a specific output port during the last run_batch().
-  const LaneBank& probe_batch(const std::string& block_name,
-                              std::size_t port = 0) const;
+  /// Bank observed on a specific output port during the last run()/
+  /// run_batch() (tap / scope support, also for connected ports).
+  const LaneBank& probe(const std::string& block_name,
+                        std::size_t port = 0) const;
 
   /// Reset all block state (does not clear wiring or the cached schedule).
   void reset();
@@ -119,20 +114,10 @@ class Model {
   PowerReport power_report() const;
   AreaReport area_report() const;
 
-  /// Execution accounting accumulated over every run() since construction
+  /// Execution accounting accumulated over every run since construction
   /// (or the last reset_run_stats()).
   const RunStats& run_stats() const { return run_stats_; }
   void reset_run_stats();
-
-  /// Toggle the cached-schedule + arena hot path (default: on, or the
-  /// EFFICSENSE_SIM_HOT env var). Off re-plans the graph and reallocates
-  /// every buffer on each run — the pre-optimization cost profile, kept
-  /// for A/B benchmarking.
-  void set_fast_path(bool enabled) { fast_path_ = enabled; }
-  bool fast_path() const { return fast_path_; }
-
-  /// The arena backing this model's waveform buffers (introspection).
-  const WaveformArena& arena() const { return arena_; }
 
   /// Graphviz DOT rendering of the block diagram (nodes annotated with the
   /// analytic power), for documentation and debugging.
@@ -164,17 +149,9 @@ class Model {
   std::vector<std::size_t> model_output_slots_;  // unconnected outputs
   std::size_t num_slots_ = 0;
 
-  // Waveform storage, recycled run-to-run.
-  WaveformArena arena_;
-  std::vector<Waveform> slot_outputs_;       // by slot; previous run's values
-  std::vector<std::vector<Waveform>> input_scratch_;  // per plan step
-  std::size_t slots_written_ = 0;            // slots valid for probe()
-
-  // Lane-bank storage for run_batch(), recycled like slot_outputs_.
+  // Output banks by slot, from the last run.
   std::vector<LaneBank> bank_slots_;
-  std::size_t bank_slots_written_ = 0;       // slots valid for probe_batch()
-
-  bool fast_path_ = true;
+  std::size_t bank_slots_written_ = 0;       // slots valid for probe()
 
   std::vector<BlockId> topological_order() const;
 };

@@ -56,23 +56,23 @@ struct LegacyChain {
   power::DesignParams design;
   std::unique_ptr<sim::Model> (*build)(const power::TechnologyParams&,
                                        const power::DesignParams&,
-                                       const ChainSeeds&);
+                                       const arch::ChainSeeds&);
 };
 
 std::vector<LegacyChain> legacy_chains() {
   std::vector<LegacyChain> out;
   out.push_back({"baseline", styled_design(0, power::CsStyle::PassiveCharge),
-                 &build_baseline_chain});
+                 &arch::build_baseline_chain});
   out.push_back({"cs_passive", styled_design(75, power::CsStyle::PassiveCharge),
                  +[](const power::TechnologyParams& t,
-                     const power::DesignParams& d, const ChainSeeds& s) {
-                   return build_cs_chain(t, d, s, blocks::CsEncoderOptions{});
+                     const power::DesignParams& d, const arch::ChainSeeds& s) {
+                   return arch::build_cs_chain(t, d, s, blocks::CsEncoderOptions{});
                  }});
   out.push_back({"cs_active",
                  styled_design(75, power::CsStyle::ActiveIntegrator),
-                 &build_active_cs_chain});
+                 &arch::build_active_cs_chain});
   out.push_back({"cs_digital", styled_design(75, power::CsStyle::DigitalMac),
-                 &build_digital_cs_chain});
+                 &arch::build_digital_cs_chain});
   return out;
 }
 
@@ -175,11 +175,11 @@ TEST(ArchRegistry, DuplicateRegistrationThrows) {
     bool matches(const power::DesignParams&) const override { return false; }
     std::unique_ptr<sim::Model> build_model(
         const power::TechnologyParams&, const power::DesignParams&,
-        const ChainSeeds&) const override {
+        const arch::ChainSeeds&) const override {
       return nullptr;
     }
     std::unique_ptr<Decoder> make_decoder(
-        const power::DesignParams&, const ChainSeeds&,
+        const power::DesignParams&, const arch::ChainSeeds&,
         const cs::ReconstructorConfig&) const override {
       return nullptr;
     }
@@ -194,7 +194,7 @@ TEST(ArchRegistry, DuplicateRegistrationThrows) {
 TEST(ArchRegistry, UnknownCsStyleIsAHardError) {
   auto bad = styled_design(75, static_cast<power::CsStyle>(7));
   try {
-    build_chain(power::TechnologyParams{}, bad, {});
+    arch::build_chain(power::TechnologyParams{}, bad, {});
     FAIL() << "expected Error, got a silently built chain";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -202,7 +202,7 @@ TEST(ArchRegistry, UnknownCsStyleIsAHardError) {
     EXPECT_NE(what.find("cs_style=7"), std::string::npos);
     EXPECT_NE(what.find("cs_passive"), std::string::npos);  // the list
   }
-  EXPECT_THROW(make_matched_reconstructor(bad, {}), Error);
+  EXPECT_THROW(arch::make_matched_reconstructor(bad, {}), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,11 +214,11 @@ TEST(ArchEquivalence, RegistryChainsMatchLegacyWaveformsBitwise) {
     auto legacy = lc.build(tech, lc.design, {});
     auto via_id =
         ArchRegistry::instance().get(lc.id).build_model(tech, lc.design, {});
-    auto via_auto = build_chain(tech, lc.design, {});
+    auto via_auto = arch::build_chain(tech, lc.design, {});
 
-    const auto ref = run_chain(*legacy, test_segment());
-    const auto a = run_chain(*via_id, test_segment());
-    const auto b = run_chain(*via_auto, test_segment());
+    const auto ref = arch::run_chain(*legacy, test_segment());
+    const auto a = arch::run_chain(*via_id, test_segment());
+    const auto b = arch::run_chain(*via_auto, test_segment());
     const auto h = fnv1a_doubles(ref.samples);
     EXPECT_EQ(fnv1a_doubles(a.samples), h) << lc.id;
     EXPECT_EQ(fnv1a_doubles(b.samples), h) << lc.id;
@@ -246,7 +246,7 @@ TEST(ArchEquivalence, SeedPinnedGoldenChecksums) {
   for (const auto& lc : legacy_chains()) {
     auto chain =
         ArchRegistry::instance().get(lc.id).build_model(tech, lc.design, {});
-    const auto out = run_chain(*chain, test_segment());
+    const auto out = arch::run_chain(*chain, test_segment());
     const auto it =
         std::find_if(golden.begin(), golden.end(),
                      [&](const auto& g) { return g.first == std::string(lc.id); });
@@ -296,7 +296,7 @@ TEST(ArchEquivalence, JournalResultDigestMatchesLegacy) {
   const core::Evaluator evaluator(world().tech, &world().dataset,
                                   &world().detector, opt);
 
-  core::DesignSpace space;
+  arch::DesignSpace space;
   space.add_axis("lna_noise_vrms", {2e-6, 20e-6}).add_axis("cs_m", {0, 75});
 
   run::RunOptions options;
@@ -332,10 +332,10 @@ TEST(Decoders, CsDecoderMatchesMatchedReconstructor) {
   rc.residual_tol = 0.02;
   const auto decoder =
       ArchRegistry::instance().get("cs_passive").make_decoder(design, {}, rc);
-  const auto recon = make_matched_reconstructor(design, {}, rc);
+  const auto recon = arch::make_matched_reconstructor(design, {}, rc);
 
-  auto chain = build_cs_chain(power::TechnologyParams{}, design, {});
-  const auto received = run_chain(*chain, test_segment());
+  auto chain = arch::build_cs_chain(power::TechnologyParams{}, design, {});
+  const auto received = arch::run_chain(*chain, test_segment());
   const auto via_decoder = decoder->decode(received.samples, nullptr);
   const auto via_recon = recon.reconstruct_stream(received.samples, nullptr);
   ASSERT_EQ(via_decoder.size(), via_recon.size());
@@ -354,8 +354,8 @@ namespace {
 
 /// Monte-Carlo-style per-lane seeds: the mismatch (and optionally noise)
 /// stream each instance would get from monte_carlo() with base seed 0xFAB.
-std::vector<ChainSeeds> mc_lane_seeds(std::size_t lanes, bool vary_noise) {
-  std::vector<ChainSeeds> out(lanes);
+std::vector<arch::ChainSeeds> mc_lane_seeds(std::size_t lanes, bool vary_noise) {
+  std::vector<arch::ChainSeeds> out(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
     out[i].mismatch = derive_seed(0xFAB, 2 * i);
     if (vary_noise) out[i].noise = derive_seed(0xFAB, 2 * i + 1);
@@ -390,11 +390,11 @@ TEST(BatchEquivalence, LanesMatchScalarOracleBitwise) {
       auto batch = architecture.build_batch_model(tech, c.design, lane_seeds);
       ASSERT_NE(batch, nullptr) << c.id;
       const auto& bank =
-          run_chain_batch(*batch, test_segment(), lane_seeds.size());
+          arch::run_chain_batch(*batch, test_segment(), lane_seeds.size());
       EXPECT_EQ(bank.lanes(), lane_seeds.size());
       for (std::size_t k = 0; k < lane_seeds.size(); ++k) {
         auto scalar = architecture.build_model(tech, c.design, lane_seeds[k]);
-        const auto out = run_chain(*scalar, test_segment());
+        const auto out = arch::run_chain(*scalar, test_segment());
         ASSERT_EQ(bank.samples(), out.samples.size()) << c.id;
         EXPECT_EQ(lane_hash(bank, k), fnv1a_doubles(out.samples))
             << c.id << " lane " << k
@@ -414,7 +414,7 @@ TEST(BatchEquivalence, LaneSeedingIndependentOfLaneWidth) {
   const auto seeds8 = mc_lane_seeds(8, true);
   auto chain8 = architecture.build_batch_model(tech, design, seeds8);
   ASSERT_NE(chain8, nullptr);
-  const auto& bank8 = run_chain_batch(*chain8, test_segment(), 8);
+  const auto& bank8 = arch::run_chain_batch(*chain8, test_segment(), 8);
   std::vector<std::uint64_t> golden;
   for (std::size_t k = 0; k < 8; ++k) golden.push_back(lane_hash(bank8, k));
 
@@ -422,7 +422,7 @@ TEST(BatchEquivalence, LaneSeedingIndependentOfLaneWidth) {
     const auto seeds = mc_lane_seeds(width, true);
     auto chain = architecture.build_batch_model(tech, design, seeds);
     ASSERT_NE(chain, nullptr);
-    const auto& bank = run_chain_batch(*chain, test_segment(), width);
+    const auto& bank = arch::run_chain_batch(*chain, test_segment(), width);
     for (std::size_t k = 0; k < width; ++k) {
       EXPECT_EQ(lane_hash(bank, k), golden[k]) << "K=" << width << " lane " << k;
     }

@@ -7,8 +7,8 @@
 #include <set>
 #include <sstream>
 
-#include "core/chain.hpp"
-#include "core/design_space.hpp"
+#include "arch/chain.hpp"
+#include "arch/design_space.hpp"
 #include "core/pareto.hpp"
 #include "core/sweep.hpp"
 #include "core/study.hpp"
@@ -19,7 +19,7 @@ using namespace efficsense;
 using namespace efficsense::core;
 
 TEST(DesignSpace, CartesianEnumeration) {
-  DesignSpace space;
+  arch::DesignSpace space;
   space.add_axis("a", {1, 2, 3}).add_axis("b", {10, 20});
   EXPECT_EQ(space.axis_count(), 2u);
   EXPECT_EQ(space.size(), 6u);
@@ -33,13 +33,13 @@ TEST(DesignSpace, CartesianEnumeration) {
 }
 
 TEST(DesignSpace, EmptySpaceHasOnePoint) {
-  DesignSpace space;
+  arch::DesignSpace space;
   EXPECT_EQ(space.size(), 1u);
   EXPECT_TRUE(space.point(0).empty());
 }
 
 TEST(DesignSpace, DuplicateAxisRejected) {
-  DesignSpace space;
+  arch::DesignSpace space;
   space.add_axis("a", {1});
   EXPECT_THROW(space.add_axis("a", {2}), Error);
   EXPECT_THROW(space.add_axis("b", {}), Error);
@@ -47,31 +47,31 @@ TEST(DesignSpace, DuplicateAxisRejected) {
 
 TEST(ApplyAxis, MapsAllSupportedNames) {
   power::DesignParams d;
-  apply_axis(d, "lna_noise_vrms", 5e-6);
-  apply_axis(d, "adc_bits", 6);
-  apply_axis(d, "cs_m", 75);
-  apply_axis(d, "cs_c_hold_f", 1e-12);
-  apply_axis(d, "dac_c_unit_f", 4e-15);
-  apply_axis(d, "cs_sparsity", 3);
-  apply_axis(d, "lna_gain", 500);
+  arch::apply_axis(d, "lna_noise_vrms", 5e-6);
+  arch::apply_axis(d, "adc_bits", 6);
+  arch::apply_axis(d, "cs_m", 75);
+  arch::apply_axis(d, "cs_c_hold_f", 1e-12);
+  arch::apply_axis(d, "dac_c_unit_f", 4e-15);
+  arch::apply_axis(d, "cs_sparsity", 3);
+  arch::apply_axis(d, "lna_gain", 500);
   EXPECT_DOUBLE_EQ(d.lna_noise_vrms, 5e-6);
   EXPECT_EQ(d.adc_bits, 6);
   EXPECT_EQ(d.cs_m, 75);
   EXPECT_DOUBLE_EQ(d.cs_c_hold_f, 1e-12);
   EXPECT_EQ(d.cs_sparsity, 3);
-  EXPECT_THROW(apply_axis(d, "not_a_knob", 1.0), Error);
+  EXPECT_THROW(arch::apply_axis(d, "not_a_knob", 1.0), Error);
 }
 
 TEST(ApplyPoint, OverridesOnlyNamedFields) {
   power::DesignParams base;
-  const auto d = apply_point(base, {{"adc_bits", 6.0}});
+  const auto d = arch::apply_point(base, {{"adc_bits", 6.0}});
   EXPECT_EQ(d.adc_bits, 6);
   EXPECT_DOUBLE_EQ(d.lna_noise_vrms, base.lna_noise_vrms);
 }
 
 TEST(PointString, RoundTrip) {
-  const PointValues p{{"a", 1.5}, {"b", 2e-12}};
-  const auto parsed = parse_point(point_to_string(p));
+  const arch::PointValues p{{"a", 1.5}, {"b", 2e-12}};
+  const auto parsed = parse_point(arch::point_to_string(p));
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_DOUBLE_EQ(parsed.at("a"), 1.5);
   EXPECT_NEAR(parsed.at("b"), 2e-12, 1e-18);
@@ -142,37 +142,37 @@ TEST(Pareto, BestMeritWhere) {
 TEST(Chain, BaselineStructure) {
   const power::TechnologyParams tech;
   power::DesignParams d;
-  const auto chain = build_baseline_chain(tech, d, {});
+  const auto chain = arch::build_baseline_chain(tech, d, {});
   EXPECT_EQ(chain->num_blocks(), 5u);
-  for (const char* name : {kSourceBlock, kLnaBlock, kSampleHoldBlock,
-                           kAdcBlock, kTxBlock}) {
+  for (const char* name : {arch::kSourceBlock, arch::kLnaBlock, arch::kSampleHoldBlock,
+                           arch::kAdcBlock, arch::kTxBlock}) {
     EXPECT_TRUE(chain->has_block(name)) << name;
   }
-  EXPECT_FALSE(chain->has_block(kCsEncoderBlock));
+  EXPECT_FALSE(chain->has_block(arch::kCsEncoderBlock));
 }
 
 TEST(Chain, CsStructure) {
   const power::TechnologyParams tech;
   power::DesignParams d;
   d.cs_m = 75;
-  const auto chain = build_cs_chain(tech, d, {});
-  EXPECT_TRUE(chain->has_block(kCsEncoderBlock));
-  EXPECT_FALSE(chain->has_block(kSampleHoldBlock));
+  const auto chain = arch::build_cs_chain(tech, d, {});
+  EXPECT_TRUE(chain->has_block(arch::kCsEncoderBlock));
+  EXPECT_FALSE(chain->has_block(arch::kSampleHoldBlock));
   // build_chain dispatches on uses_cs().
-  EXPECT_TRUE(build_chain(tech, d, {})->has_block(kCsEncoderBlock));
+  EXPECT_TRUE(arch::build_chain(tech, d, {})->has_block(arch::kCsEncoderBlock));
   d.cs_m = 0;
-  EXPECT_FALSE(build_chain(tech, d, {})->has_block(kCsEncoderBlock));
+  EXPECT_FALSE(arch::build_chain(tech, d, {})->has_block(arch::kCsEncoderBlock));
   d.cs_m = 75;
   d.cs_m = 0;
-  EXPECT_THROW(build_cs_chain(tech, d, {}), Error);
+  EXPECT_THROW(arch::build_cs_chain(tech, d, {}), Error);
 }
 
 TEST(Chain, RunProducesSampledOutput) {
   const power::TechnologyParams tech;
   power::DesignParams d;
-  auto chain = build_baseline_chain(tech, d, {});
+  auto chain = arch::build_baseline_chain(tech, d, {});
   const sim::Waveform input(2048.0, std::vector<double>(2048 * 2, 1e-4));
-  const auto out = run_chain(*chain, input);
+  const auto out = arch::run_chain(*chain, input);
   EXPECT_DOUBLE_EQ(out.fs, d.f_sample_hz());
   EXPECT_EQ(out.size(), static_cast<std::size_t>(2.0 * d.f_sample_hz()));
 }
@@ -180,17 +180,17 @@ TEST(Chain, RunProducesSampledOutput) {
 TEST(Chain, MatchedReconstructorDimensions) {
   power::DesignParams d;
   d.cs_m = 96;
-  const auto rec = make_matched_reconstructor(d, {});
+  const auto rec = arch::make_matched_reconstructor(d, {});
   EXPECT_EQ(rec.measurements_per_frame(), 96u);
   EXPECT_EQ(rec.frame_length(), 384u);
   d.cs_m = 0;
-  EXPECT_THROW(make_matched_reconstructor(d, {}), Error);
+  EXPECT_THROW(arch::make_matched_reconstructor(d, {}), Error);
 }
 
 TEST(SweepCsv, RoundTrip) {
   SweepResult r;
   r.point = {{"adc_bits", 8.0}, {"lna_noise_vrms", 3e-6}};
-  r.design = apply_point(power::DesignParams{}, r.point);
+  r.design = arch::apply_point(power::DesignParams{}, r.point);
   r.metrics.snr_db = 21.5;
   r.metrics.accuracy = 0.975;
   r.metrics.power_w = 4.2e-6;
@@ -224,7 +224,7 @@ TEST(SweepCsv, SkipsMalformedRows) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     auto& r = results[i];
     r.point = {{"adc_bits", 6.0 + double(i)}};
-    r.design = apply_point(power::DesignParams{}, r.point);
+    r.design = arch::apply_point(power::DesignParams{}, r.point);
     r.metrics.snr_db = 10.0 + double(i);
     r.metrics.accuracy = 0.9;
     r.metrics.power_w = 1e-6;
@@ -291,20 +291,20 @@ TEST(MonteCarloStats, HandComputed) {
 // noise seeds but share the sensing matrix, so they must share one cached
 // reconstructor (and thus one Gram build).
 
-#include "core/recon_cache.hpp"
+#include "arch/recon_cache.hpp"
 
 TEST(ReconstructorCache, SharedAcrossMismatchAndNoiseSeeds) {
-  auto& cache = ReconstructorCache::instance();
+  auto& cache = arch::ReconstructorCache::instance();
   cache.clear();
   power::DesignParams design;
   design.adc_bits = 8;
   design.cs_m = 40;  // small CS design so the build is cheap
 
-  ChainSeeds seeds1;
+  arch::ChainSeeds seeds1;
   seeds1.phi = 123;
   seeds1.mismatch = 1;
   seeds1.noise = 2;
-  ChainSeeds seeds2 = seeds1;
+  arch::ChainSeeds seeds2 = seeds1;
   seeds2.mismatch = 99;  // a different fabricated instance...
   seeds2.noise = 77;     // ...with fresh noise streams
 
@@ -320,7 +320,7 @@ TEST(ReconstructorCache, SharedAcrossMismatchAndNoiseSeeds) {
   EXPECT_EQ(efficsense::obs::counter("omp/cache_hits").value(), hits0 + 1);
   EXPECT_EQ(cache.size(), 1u);
 
-  ChainSeeds seeds3 = seeds1;
+  arch::ChainSeeds seeds3 = seeds1;
   seeds3.phi = 456;  // a different sensing-matrix draw is a different entry
   const auto r3 = cache.get(design, seeds3, cfg);
   EXPECT_NE(r3.get(), r1.get());
@@ -338,23 +338,23 @@ TEST(ReconstructorCache, SharedAcrossMismatchAndNoiseSeeds) {
 TEST(ReconstructorCache, KeyCoversPhiAndConfig) {
   power::DesignParams design;
   design.cs_m = 40;
-  ChainSeeds a, b;
+  arch::ChainSeeds a, b;
   cs::ReconstructorConfig cfg;
-  EXPECT_EQ(reconstructor_cache_key(design, a, cfg),
-            reconstructor_cache_key(design, b, cfg));
+  EXPECT_EQ(arch::reconstructor_cache_key(design, a, cfg),
+            arch::reconstructor_cache_key(design, b, cfg));
   b.mismatch = 999;
   b.noise = 888;
-  EXPECT_EQ(reconstructor_cache_key(design, a, cfg),
-            reconstructor_cache_key(design, b, cfg));
+  EXPECT_EQ(arch::reconstructor_cache_key(design, a, cfg),
+            arch::reconstructor_cache_key(design, b, cfg));
   b.phi = 777;
-  EXPECT_NE(reconstructor_cache_key(design, a, cfg),
-            reconstructor_cache_key(design, b, cfg));
+  EXPECT_NE(arch::reconstructor_cache_key(design, a, cfg),
+            arch::reconstructor_cache_key(design, b, cfg));
   cs::ReconstructorConfig cfg2 = cfg;
   cfg2.residual_tol *= 2.0;
-  EXPECT_NE(reconstructor_cache_key(design, a, cfg),
-            reconstructor_cache_key(design, a, cfg2));
+  EXPECT_NE(arch::reconstructor_cache_key(design, a, cfg),
+            arch::reconstructor_cache_key(design, a, cfg2));
   power::DesignParams design2 = design;
   design2.cs_m = 50;
-  EXPECT_NE(reconstructor_cache_key(design, a, cfg),
-            reconstructor_cache_key(design2, a, cfg));
+  EXPECT_NE(arch::reconstructor_cache_key(design, a, cfg),
+            arch::reconstructor_cache_key(design2, a, cfg));
 }

@@ -17,7 +17,7 @@
 #include <fstream>
 #include <thread>
 
-#include "core/design_space.hpp"
+#include "arch/design_space.hpp"
 #include "core/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "run/coordinator.hpp"
@@ -56,8 +56,8 @@ struct TempDir {
 };
 
 /// A 24-point space, big enough that two workers genuinely share it.
-DesignSpace fleet_space() {
-  DesignSpace space;
+arch::DesignSpace fleet_space() {
+  arch::DesignSpace space;
   space.add_axis("lna_noise_vrms", {1e-6, 2e-6, 3e-6, 4e-6})
       .add_axis("adc_bits", {4, 5, 6, 7, 8, 9});
   return space;
@@ -79,7 +79,7 @@ EvalMetrics fake_metrics(const power::DesignParams& d) {
 
 /// Serial oracle: the unsharded DurableSweeper run every fleet result must
 /// reproduce bitwise (as CSV).
-std::string serial_csv(const TempDir& tmp, const DesignSpace& space,
+std::string serial_csv(const TempDir& tmp, const arch::DesignSpace& space,
                        std::uint64_t digest = 42) {
   RunOptions o;
   o.journal_path = tmp.path("serial_oracle.jsonl");

@@ -1,7 +1,7 @@
 // The vectorized block-sim hot path: bulk RNG fills (Box-Muller oracle and
 // Ziggurat), seed-pinned golden checksums proving the refactor is
-// bit-identical, schedule caching, run_stats accounting and the waveform
-// arena.
+// bit-identical, schedule caching, run_stats accounting, bounded memory
+// across repeated runs and the shared block-run telemetry.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +12,12 @@
 #include <numbers>
 #include <vector>
 
+#include "arch/chain.hpp"
 #include "blocks/basic.hpp"
 #include "blocks/sources.hpp"
-#include "core/chain.hpp"
 #include "eeg/generator.hpp"
 #include "obs/metrics.hpp"
-#include "sim/arena.hpp"
+#include "obs/snapshot.hpp"
 #include "sim/model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -207,27 +207,25 @@ TEST(Golden, BaselineAndCsChainOutputs) {
   power::TechnologyParams tech;
 
   power::DesignParams base;
-  auto chain = core::build_baseline_chain(tech, base, {});
-  const auto out1 = core::run_chain(*chain, seg);
+  auto chain = arch::build_baseline_chain(tech, base, {});
+  const auto out1 = arch::run_chain(*chain, seg);
   EXPECT_EQ(fnv1a_doubles(out1.samples), 0x844901B7FF67731AULL);
-  const auto out2 = core::run_chain(*chain, seg);  // fresh noise streams
+  const auto out2 = arch::run_chain(*chain, seg);  // fresh noise streams
   EXPECT_EQ(fnv1a_doubles(out2.samples), 0xC8AB50B97239C0DBULL);
 
   power::DesignParams cs;
   cs.cs_m = 75;
   cs.cs_c_hold_f = 1e-12;
-  auto cs_chain = core::build_cs_chain(tech, cs, {});
-  const auto cs_out = core::run_chain(*cs_chain, seg);
+  auto cs_chain = arch::build_cs_chain(tech, cs, {});
+  const auto cs_out = arch::run_chain(*cs_chain, seg);
   EXPECT_EQ(fnv1a_doubles(cs_out.samples), 0xE7797B0B7D59D2BCULL);
 }
 
 // ---------------------------------------------------------------------------
-// Fast path vs legacy path: identical results, cached schedule, recycled
-// buffers.
+// The single run path: cached schedule, probes, accounting, bounded memory.
 
 namespace {
 
-/// A model with stochastic and deterministic blocks exercising the arena.
 sim::Waveform make_ramp(std::size_t n) {
   sim::Waveform w;
   w.fs = 1000.0;
@@ -238,36 +236,18 @@ sim::Waveform make_ramp(std::size_t n) {
   return w;
 }
 
-std::unique_ptr<sim::Model> make_noisy_model() {
+/// A model with stochastic and deterministic blocks: src -> noise -> gain.
+std::unique_ptr<sim::Model> make_noisy_model(std::size_t samples = 512) {
   auto m = std::make_unique<sim::Model>();
-  auto& src = m->emplace<blocks::WaveformSource>("src", make_ramp(512));
-  auto& noise = m->emplace<blocks::NoiseAdderBlock>("noise", 0.1, 99);
-  auto& gain = m->emplace<blocks::GainBlock>("gain", 2.0);
-  (void)src;
-  (void)noise;
-  (void)gain;
+  m->emplace<blocks::WaveformSource>("src", make_ramp(samples));
+  m->emplace<blocks::NoiseAdderBlock>("noise", 0.1, 99);
+  m->emplace<blocks::GainBlock>("gain", 2.0);
   m->connect("src", "noise");
   m->connect("noise", "gain");
   return m;
 }
 
 }  // namespace
-
-TEST(ModelHotPath, FastAndLegacyPathsBitIdentical) {
-  auto fast = make_noisy_model();
-  auto slow = make_noisy_model();
-  fast->set_fast_path(true);
-  slow->set_fast_path(false);
-  for (int run = 0; run < 3; ++run) {
-    const auto a = fast->run();
-    const auto b = slow->run();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].fs, b[i].fs);
-      EXPECT_EQ(a[i].samples, b[i].samples) << "run " << run;
-    }
-  }
-}
 
 TEST(ModelHotPath, ScheduleCacheHitsOnRepeatedRuns) {
   auto& hits = obs::counter("sim/schedule_cache_hits");
@@ -276,7 +256,6 @@ TEST(ModelHotPath, ScheduleCacheHitsOnRepeatedRuns) {
   const auto m0 = misses.value();
 
   auto m = make_noisy_model();
-  m->set_fast_path(true);
   m->run();
   EXPECT_EQ(misses.value(), m0 + 1);
   EXPECT_EQ(hits.value(), h0);
@@ -292,29 +271,43 @@ TEST(ModelHotPath, ScheduleCacheHitsOnRepeatedRuns) {
   EXPECT_EQ(misses.value(), m0 + 2);
 }
 
-TEST(ModelHotPath, ArenaRecyclesBuffersBetweenRuns) {
+TEST(ModelHotPath, RepeatedRunsRetainBoundedMemory) {
+  // A long-lived model keeps only its last run's outputs: memory retained
+  // over 50 runs of 8 MB waveforms must not grow by a buffer per run, also
+  // for blocks that allocate their own output (GainBlock).
+  constexpr std::size_t kSamples = std::size_t{1} << 20;
+  constexpr double kBufferBytes = kSamples * sizeof(double);
+  auto m = make_noisy_model(kSamples);
+  for (int run = 0; run < 3; ++run) m->run();  // reach the allocator's steady state
+  const double rss_before = obs::current_rss_bytes();
+  if (rss_before == 0.0) GTEST_SKIP() << "resident set size is unavailable";
+  for (int run = 0; run < 50; ++run) m->run();
+  const double growth = obs::current_rss_bytes() - rss_before;
+  EXPECT_LT(growth, 8.0 * kBufferBytes)
+      << "retained " << growth / kBufferBytes << " extra buffers over 50 runs";
+}
+
+TEST(ModelHotPath, BatchRunsFeedTheBlockRunHistogram) {
   auto m = make_noisy_model();
-  m->set_fast_path(true);
+  const auto& block_run = obs::histogram("time/block_run");
+  const auto before = block_run.count();
+  m->run_batch(8);
+  EXPECT_EQ(block_run.count(), before + 3);  // one observation per block
   m->run();
-  const auto fresh_after_first = m->arena().fresh_allocs();
-  m->run();
-  m->run();
-  // Steady state: every per-run buffer is served from the pool.
-  EXPECT_EQ(m->arena().fresh_allocs(), fresh_after_first);
-  EXPECT_GT(m->arena().reuses(), 0u);
+  EXPECT_EQ(block_run.count(), before + 6);
 }
 
 TEST(ModelHotPath, ProbeSurvivesRewiringAndReset) {
   auto m = make_noisy_model();
   m->run();
-  const auto before = m->probe("noise").samples;
-  EXPECT_FALSE(before.empty());
+  const std::size_t before = m->probe("noise").samples();
+  EXPECT_GT(before, 0u);
 
   // Adding a downstream block must not invalidate earlier probes' slots.
   m->emplace<blocks::GainBlock>("post", 0.5);
   m->connect("gain", "post");
   m->run();
-  EXPECT_EQ(m->probe("noise").samples.size(), before.size());
+  EXPECT_EQ(m->probe("noise").samples(), before);
 
   m->reset();
   EXPECT_THROW((void)m->probe("noise"), Error);
@@ -322,7 +315,6 @@ TEST(ModelHotPath, ProbeSurvivesRewiringAndReset) {
 
 TEST(ModelHotPath, RunStatsAccumulateAcrossCachedRuns) {
   auto m = make_noisy_model();
-  m->set_fast_path(true);
   m->run();
   m->run();
   m->run();
@@ -361,56 +353,4 @@ TEST(ModelHotPath, RunStatsAccumulateAcrossCachedRuns) {
   m->reset_run_stats();
   EXPECT_EQ(m->run_stats().runs, 0u);
   EXPECT_TRUE(m->run_stats().blocks.empty());
-}
-
-// ---------------------------------------------------------------------------
-// WaveformArena unit behaviour.
-
-TEST(WaveformArena, ReusesReleasedStorage) {
-  sim::WaveformArena arena;
-  auto a = arena.acquire(100);
-  EXPECT_EQ(a.size(), 100u);
-  EXPECT_EQ(arena.fresh_allocs(), 1u);
-  const double* ptr = a.data();
-  arena.release(std::move(a));
-  EXPECT_EQ(arena.pooled_buffers(), 1u);
-
-  auto b = arena.acquire(80);  // fits in the pooled capacity
-  EXPECT_EQ(b.size(), 80u);
-  EXPECT_EQ(b.data(), ptr);
-  EXPECT_EQ(arena.reuses(), 1u);
-  EXPECT_EQ(arena.fresh_allocs(), 1u);
-  EXPECT_EQ(arena.pooled_buffers(), 0u);
-}
-
-TEST(WaveformArena, PrefersSmallestFittingBuffer) {
-  sim::WaveformArena arena;
-  auto big = arena.acquire(1000);
-  auto small = arena.acquire(64);
-  arena.release(std::move(big));
-  arena.release(std::move(small));
-  ASSERT_EQ(arena.pooled_buffers(), 2u);
-
-  auto got = arena.acquire(50);
-  EXPECT_GE(got.capacity(), 50u);
-  EXPECT_LT(got.capacity(), 1000u);  // took the small one, kept the big one
-  EXPECT_EQ(arena.pooled_capacity(), 1000u);
-}
-
-TEST(WaveformArena, AcquireWaveformTagsRate) {
-  sim::WaveformArena arena;
-  auto w = arena.acquire_waveform(256.0, 10);
-  EXPECT_EQ(w.fs, 256.0);
-  EXPECT_EQ(w.samples.size(), 10u);
-  arena.release(std::move(w));
-  EXPECT_EQ(arena.pooled_buffers(), 1u);
-  arena.clear();
-  EXPECT_EQ(arena.pooled_buffers(), 0u);
-  EXPECT_EQ(arena.pooled_capacity(), 0u);
-}
-
-TEST(WaveformArena, ZeroCapacityReleaseIsDropped) {
-  sim::WaveformArena arena;
-  arena.release(std::vector<double>{});
-  EXPECT_EQ(arena.pooled_buffers(), 0u);
 }

@@ -46,10 +46,10 @@ World& world() {
 TEST(EndToEnd, BaselineChainDigitizesSineAtExpectedQuality) {
   power::DesignParams d;
   d.lna_noise_vrms = 1e-6;
-  auto chain = build_baseline_chain(world().tech, d, {});
+  auto chain = arch::build_baseline_chain(world().tech, d, {});
   blocks::SineSource tone("t", 8192.0, 8.0, 50.0,
                           0.9 * (d.v_fs / 2.0) / d.lna_gain);
-  const auto out = run_chain(*chain, tone.process({}).front());
+  const auto out = arch::run_chain(*chain, tone.process({}).front());
   const auto a = dsp::analyze_tone(out.samples, out.fs);
   EXPECT_GT(a.sndr_db, 38.0);
   EXPECT_LT(a.sndr_db, 52.0);
@@ -60,10 +60,10 @@ TEST(EndToEnd, SnrImprovesWithLowerNoiseFloor) {
   for (double uv : {20.0, 5.0, 1.0}) {
     power::DesignParams d;
     d.lna_noise_vrms = uv * 1e-6;
-    auto chain = build_baseline_chain(world().tech, d, {});
+    auto chain = arch::build_baseline_chain(world().tech, d, {});
     blocks::SineSource tone("t", 8192.0, 6.0, 50.0,
                             0.9 * (d.v_fs / 2.0) / d.lna_gain);
-    const auto out = run_chain(*chain, tone.process({}).front());
+    const auto out = arch::run_chain(*chain, tone.process({}).front());
     const auto a = dsp::analyze_tone(out.samples, out.fs);
     EXPECT_GT(a.sndr_db, prev_snr) << uv << " uV";
     prev_snr = a.sndr_db;
@@ -90,7 +90,7 @@ TEST(EndToEnd, BaselineEvaluatorMetricsSane) {
   EXPECT_GE(m.accuracy, 0.85);
   EXPECT_NEAR(m.power_w, 8.3e-6, 1.0e-6);  // LNA ~4 uW + TX 4.3 uW
   EXPECT_EQ(m.segments_evaluated, world().dataset.size());
-  EXPECT_GT(m.power_breakdown.watts_of(kTxBlock), 4e-6);
+  EXPECT_GT(m.power_breakdown.watts_of(arch::kTxBlock), 4e-6);
   EXPECT_GT(m.area_unit_caps, 200.0);
 }
 
@@ -103,7 +103,7 @@ TEST(EndToEnd, CsChainReconstructsAndDetects) {
   EXPECT_GT(m.snr_db, 3.0);       // reconstruction carries signal
   EXPECT_GE(m.accuracy, 0.85);    // detection survives compression
   EXPECT_LT(m.power_w, 3e-6);     // far below the baseline's ~8 uW
-  EXPECT_GT(m.power_breakdown.watts_of(kCsEncoderBlock), 0.0);
+  EXPECT_GT(m.power_breakdown.watts_of(arch::kCsEncoderBlock), 0.0);
 }
 
 TEST(EndToEnd, CsBeatsBaselineOnPowerAtMatchedAccuracy) {
@@ -135,7 +135,7 @@ TEST(EndToEnd, SweeperGridMatchesPointwiseEvaluation) {
   const Evaluator eval_fast(world().tech, &world().dataset, &world().detector,
                             opts);
   const Sweeper sweeper(&eval_fast);
-  DesignSpace space;
+  arch::DesignSpace space;
   space.add_axis("lna_noise_vrms", {2e-6, 10e-6});
   space.add_axis("adc_bits", {6, 8});
   const auto results = sweeper.run(power::DesignParams{}, space);
@@ -152,7 +152,7 @@ TEST(EndToEnd, SweeperParallelMatchesSequential) {
   opts.max_segments = 2;
   const Evaluator eval(world().tech, &world().dataset, &world().detector, opts);
   const Sweeper sweeper(&eval);
-  DesignSpace space;
+  arch::DesignSpace space;
   space.add_axis("lna_noise_vrms", {2e-6, 6e-6, 12e-6});
   ThreadPool pool(3);
   const auto seq = sweeper.run(power::DesignParams{}, space);
@@ -169,7 +169,7 @@ TEST(EndToEnd, ProgressCallbackCoversAllPoints) {
   opts.max_segments = 1;
   const Evaluator eval(world().tech, &world().dataset, &world().detector, opts);
   const Sweeper sweeper(&eval);
-  DesignSpace space;
+  arch::DesignSpace space;
   space.add_axis("adc_bits", {6, 7, 8});
   std::size_t last_done = 0, last_total = 0;
   sweeper.run(power::DesignParams{}, space, nullptr,
@@ -186,7 +186,7 @@ TEST(EndToEnd, ProgressMonotonicUnderPool) {
   opts.max_segments = 1;
   const Evaluator eval(world().tech, &world().dataset, &world().detector, opts);
   const Sweeper sweeper(&eval);
-  DesignSpace space;
+  arch::DesignSpace space;
   space.add_axis("adc_bits", {6, 7, 8});
   space.add_axis("lna_noise_vrms", {2e-6, 6e-6, 12e-6});
   ThreadPool pool(4);

@@ -26,8 +26,8 @@ EvalMetrics toy_objective(const power::DesignParams& d) {
   return m;
 }
 
-DesignSpace toy_space() {
-  DesignSpace space;
+arch::DesignSpace toy_space() {
+  arch::DesignSpace space;
   space.add_axis("lna_noise_vrms",
                  {1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 6e-6, 8e-6, 10e-6});
   space.add_axis("adc_bits", {6, 7, 8});
@@ -79,7 +79,7 @@ TEST(Optimizer, NeverEvaluatesDuplicates) {
   EXPECT_EQ(calls, result.evaluations());
   // All evaluated points distinct.
   std::set<std::string> keys;
-  for (const auto& r : result.evaluated) keys.insert(point_to_string(r.point));
+  for (const auto& r : result.evaluated) keys.insert(arch::point_to_string(r.point));
   EXPECT_EQ(keys.size(), result.evaluations());
 }
 
@@ -106,15 +106,15 @@ TEST(Optimizer, DeterministicPerSeed) {
   const auto b = opt.run(options);
   ASSERT_EQ(a.evaluations(), b.evaluations());
   for (std::size_t i = 0; i < a.evaluations(); ++i) {
-    EXPECT_EQ(point_to_string(a.evaluated[i].point),
-              point_to_string(b.evaluated[i].point));
+    EXPECT_EQ(arch::point_to_string(a.evaluated[i].point),
+              arch::point_to_string(b.evaluated[i].point));
   }
   options.seed = 99;
   const auto c = opt.run(options);
   bool any_diff = a.evaluations() != c.evaluations();
   for (std::size_t i = 0; !any_diff && i < std::min(a.evaluations(), c.evaluations()); ++i) {
-    any_diff = point_to_string(a.evaluated[i].point) !=
-               point_to_string(c.evaluated[i].point);
+    any_diff = arch::point_to_string(a.evaluated[i].point) !=
+               arch::point_to_string(c.evaluated[i].point);
   }
   EXPECT_TRUE(any_diff);
 }
@@ -138,7 +138,7 @@ TEST(Optimizer, ValidatesConfiguration) {
   EXPECT_THROW(PathfindingOptimizer(nullptr, power::DesignParams{}, toy_space()),
                Error);
   EXPECT_THROW(
-      PathfindingOptimizer(toy_objective, power::DesignParams{}, DesignSpace{}),
+      PathfindingOptimizer(toy_objective, power::DesignParams{}, arch::DesignSpace{}),
       Error);
   const PathfindingOptimizer opt(toy_objective, power::DesignParams{},
                                  toy_space());

@@ -12,7 +12,7 @@
 #include <fstream>
 #include <thread>
 
-#include "core/design_space.hpp"
+#include "arch/design_space.hpp"
 #include "core/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sidecar.hpp"
@@ -49,8 +49,8 @@ struct TempDir {
 };
 
 /// A small 2-axis space: 6 points.
-DesignSpace small_space() {
-  DesignSpace space;
+arch::DesignSpace small_space() {
+  arch::DesignSpace space;
   space.add_axis("lna_noise_vrms", {2e-6, 6e-6, 20e-6})
       .add_axis("adc_bits", {6, 8});
   return space;
@@ -234,18 +234,18 @@ TEST(Journal, ShardSpecParsing) {
 // Point hashing & row round-trip
 
 TEST(PointHash, FullPrecisionAndOrderStable) {
-  PointValues a{{"x", 1.0000000000000002}, {"y", 2.0}};
-  PointValues b{{"y", 2.0}, {"x", 1.0000000000000002}};  // same map contents
-  PointValues c{{"x", 1.0}, {"y", 2.0}};  // 1 ulp away on x
-  EXPECT_EQ(hash_point(a), hash_point(b));
-  EXPECT_NE(hash_point(a), hash_point(c));
+  arch::PointValues a{{"x", 1.0000000000000002}, {"y", 2.0}};
+  arch::PointValues b{{"y", 2.0}, {"x", 1.0000000000000002}};  // same map contents
+  arch::PointValues c{{"x", 1.0}, {"y", 2.0}};  // 1 ulp away on x
+  EXPECT_EQ(arch::hash_point(a), arch::hash_point(b));
+  EXPECT_NE(arch::hash_point(a), arch::hash_point(c));
 }
 
 TEST(DesignSpaceDigest, SensitiveToAxesAndValues) {
-  DesignSpace a = small_space();
-  DesignSpace b = small_space();
+  arch::DesignSpace a = small_space();
+  arch::DesignSpace b = small_space();
   EXPECT_EQ(a.digest(), b.digest());
-  DesignSpace c;
+  arch::DesignSpace c;
   c.add_axis("lna_noise_vrms", {2e-6, 6e-6, 20e-6}).add_axis("adc_bits", {6, 7});
   EXPECT_NE(a.digest(), c.digest());
 }
@@ -254,7 +254,7 @@ TEST(SweepRow, RoundTripIsBitwiseStable) {
   power::DesignParams base;
   SweepResult r;
   r.point = {{"adc_bits", 7}, {"lna_noise_vrms", 3.5e-6}};
-  r.design = apply_point(base, r.point);
+  r.design = arch::apply_point(base, r.point);
   r.metrics = fake_metrics(r.design);
   const auto row = sweep_result_to_row(r);
   const auto back = parse_sweep_row(row, base);
@@ -351,7 +351,7 @@ TEST(DurableSweeper, RefusesForeignConfigDigest) {
   const DurableSweeper b(fake_metrics, options_with(path, 2));
   EXPECT_THROW((void)b.run(base, space), Error);
   // And an unrelated space (different digest) must refuse too.
-  DesignSpace other;
+  arch::DesignSpace other;
   other.add_axis("adc_bits", {6, 7, 8, 9, 10, 11});
   const DurableSweeper c(fake_metrics, options_with(path, 1));
   EXPECT_THROW((void)c.run(base, other), Error);

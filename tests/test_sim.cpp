@@ -168,8 +168,8 @@ TEST(Model, ProbeObservesInnerSignals) {
   const auto g2 = m.add(std::make_unique<TestGain>("g2", 5.0));
   m.chain({src, g1, g2});
   m.run();
-  EXPECT_DOUBLE_EQ(m.probe("g1")[3], 6.0);
-  EXPECT_DOUBLE_EQ(m.probe("src")[3], 3.0);
+  EXPECT_DOUBLE_EQ(m.probe("g1").lane(0)[3], 6.0);
+  EXPECT_DOUBLE_EQ(m.probe("src").lane(0)[3], 3.0);
   EXPECT_THROW(m.probe("nope"), Error);
 }
 
@@ -437,7 +437,6 @@ TEST(ModelDot, RendersNodesAndEdges) {
 // ---------------------------------------------------------------------------
 // LaneBank + batched execution (the SoA K-lane Monte-Carlo engine).
 
-#include "sim/arena.hpp"
 #include "sim/lane_bank.hpp"
 
 namespace {
@@ -452,11 +451,9 @@ class LaneOffset final : public sim::Block {
   }
   void process_batch(std::size_t lanes,
                      const std::vector<const sim::LaneBank*>& inputs,
-                     std::vector<sim::LaneBank>& outputs,
-                     sim::WaveformArena& arena) override {
+                     std::vector<sim::LaneBank>& outputs) override {
     const sim::LaneBank& x = *inputs.at(0);
-    auto out = sim::LaneBank::acquire(arena, x.fs(), lanes, x.samples(),
-                                      /*uniform=*/false);
+    sim::LaneBank out(x.fs(), lanes, x.samples(), /*uniform=*/false);
     for (std::size_t k = 0; k < lanes; ++k) {
       const double* xr = x.lane(k);
       double* o = out.lane(k);
@@ -532,8 +529,8 @@ TEST(Model, RunBatchPerLaneFallbackAfterDivergence) {
     }
   }
 
-  // probe_batch observes inner banks, like probe() does for run().
-  const auto& probed = m.probe_batch("off", 0);
+  // probe() observes inner banks of a batched run too.
+  const auto& probed = m.probe("off", 0);
   EXPECT_DOUBLE_EQ(probed.lane(2)[1], 3.0);  // 1 + lane 2
 
   // run_batch(1) degenerates to the scalar topology result.

@@ -1,6 +1,5 @@
 // The pluggable sparse-solver registry: dispatch, codes, error contracts,
-// the deprecated ReconAlgorithm shim, BSBL/AMP accuracy versus a naive
-// oracle, seed-pinned IHT/ISTA recovery, the solver-keyed reconstructor
+// BSBL/AMP accuracy versus a naive oracle, seed-pinned IHT/ISTA recovery, the solver-keyed reconstructor
 // cache, solver-sensitive config digests, and the scalar solve_multi
 // fallback's bit-identity on the lane path.
 
@@ -111,7 +110,7 @@ linalg::Vector bandlimited_frame(std::size_t n, std::uint64_t seed) {
 
 TEST(SolverRegistry, BuiltinsAreRegisteredWithStableCodes) {
   auto& reg = cs::SolverRegistry::instance();
-  // Codes follow registration order; 0..2 coincide with ReconAlgorithm.
+  // Codes follow registration order.
   const std::vector<std::pair<std::string, int>> expected = {
       {"omp", 0},      {"iht", 1},  {"ista", 2},
       {"bsbl", 3},     {"amp", 4},  {"compressed_domain", 5}};
@@ -179,21 +178,6 @@ TEST(SolverRegistry, DuplicateIdIsRejectedAndNewIdsGetFreshCodes) {
   EXPECT_TRUE(reg.contains("zz_test_dummy"));
   EXPECT_EQ(reg.code_of("zz_test_dummy"), 6);
   EXPECT_EQ(reg.id_of_code(6), "zz_test_dummy");
-}
-
-// --- Deprecated ReconAlgorithm compat shim ---------------------------------
-
-TEST(SolverRegistry, ReconAlgorithmShimMapsOntoRegistryIds) {
-  EXPECT_EQ(cs::recon_algorithm_id(cs::ReconAlgorithm::Omp), "omp");
-  EXPECT_EQ(cs::recon_algorithm_id(cs::ReconAlgorithm::Iht), "iht");
-  EXPECT_EQ(cs::recon_algorithm_id(cs::ReconAlgorithm::Ista), "ista");
-
-  cs::ReconstructorConfig cfg;
-  EXPECT_EQ(cfg.solver_id(), "omp");  // default algorithm = Omp
-  cfg.algorithm = cs::ReconAlgorithm::Ista;
-  EXPECT_EQ(cfg.solver_id(), "ista");
-  cfg.solver = "bsbl";  // explicit registry id wins over the enum
-  EXPECT_EQ(cfg.solver_id(), "bsbl");
 }
 
 TEST(SolverRegistry, CompressedDomainNeverPreparesADictionary) {
@@ -368,8 +352,12 @@ TEST(SolverDigest, ScenarioDigestIsSolverSensitive) {
   const auto bsbl = spec_for("bsbl");
   EXPECT_NE(omp.digest(), bsbl.digest());
   // Explicit "omp" digests the same as the implicit default.
-  auto implicit = omp;
-  implicit.recon.solver.clear();
+  const auto implicit = arch::scenario_from_json(R"({
+    "name": "digest-probe",
+    "base": {"cs_m": 75},
+    "eval": {"residual_tol": 0.02},
+    "sweep": {"segments": 2, "train_segments": 4, "seed": 7}
+  })");
   EXPECT_EQ(implicit.digest(), omp.digest());
 }
 

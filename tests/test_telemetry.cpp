@@ -12,7 +12,7 @@
 #include <string>
 #include <thread>
 
-#include "core/design_space.hpp"
+#include "arch/design_space.hpp"
 #include "core/sweep.hpp"
 #include "run/durable.hpp"
 #include "run/journal.hpp"
@@ -72,8 +72,8 @@ struct ScopedEnv {
   }
 };
 
-DesignSpace small_space() {
-  DesignSpace space;
+arch::DesignSpace small_space() {
+  arch::DesignSpace space;
   space.add_axis("lna_noise_vrms", {2e-6, 6e-6, 20e-6})
       .add_axis("adc_bits", {6, 8});
   return space;
