@@ -1,8 +1,8 @@
 #include "arch/recon_cache.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
-#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -10,23 +10,43 @@
 
 namespace efficsense::arch {
 
+namespace {
+
+/// Append `name` and `value` in std::to_chars form: integers in decimal,
+/// doubles in the shortest text that reads back to the same bits.
+template <class T>
+void put_field(std::string& key, const char* name, T value) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value);
+  key += name;
+  key.append(buf, res.ptr);
+}
+
+}  // namespace
+
 std::string reconstructor_cache_key(const power::DesignParams& design,
                                     const ChainSeeds& seeds,
                                     const cs::ReconstructorConfig& config) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "phi=" << seeds.phi << ";m=" << design.cs_m << ";n=" << design.cs_n_phi
-     << ";s=" << design.cs_sparsity
-     << ";style=" << static_cast<int>(design.cs_style)
-     << ";cs=" << design.cs_c_sample_f << ";ch=" << design.cs_c_hold_f
-     << ";ci=" << design.cs_c_int_f
-     << ";basis=" << static_cast<int>(config.basis)
-     << ";k=" << config.sparsity << ";tol=" << config.residual_tol
-     << ";iters=" << config.max_iters << ";atoms=" << config.basis_atoms
-     << ";comp=" << (config.compensate_decay ? 1 : 0)
-     << ";mode=" << static_cast<int>(config.omp_mode)
-     << ";solver=" << config.solver;
-  return os.str();
+  std::string key;
+  key.reserve(192);
+  put_field(key, "phi=", seeds.phi);
+  put_field(key, ";m=", design.cs_m);
+  put_field(key, ";n=", design.cs_n_phi);
+  put_field(key, ";s=", design.cs_sparsity);
+  put_field(key, ";style=", static_cast<int>(design.cs_style));
+  put_field(key, ";cs=", design.cs_c_sample_f);
+  put_field(key, ";ch=", design.cs_c_hold_f);
+  put_field(key, ";ci=", design.cs_c_int_f);
+  put_field(key, ";basis=", static_cast<int>(config.basis));
+  put_field(key, ";k=", config.sparsity);
+  put_field(key, ";tol=", config.residual_tol);
+  put_field(key, ";iters=", config.max_iters);
+  put_field(key, ";atoms=", config.basis_atoms);
+  put_field(key, ";comp=", config.compensate_decay ? 1 : 0);
+  put_field(key, ";mode=", static_cast<int>(config.omp_mode));
+  key += ";solver=";
+  key += config.solver;
+  return key;
 }
 
 ReconstructorCache& ReconstructorCache::instance() {

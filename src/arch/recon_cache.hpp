@@ -26,7 +26,9 @@ namespace efficsense::arch {
 
 /// The cache key: every input that changes the dictionary or solver state
 /// (Phi seed, M, N, s, encoder style + nominal gains, basis id and solver
-/// config), serialized with full precision.
+/// config). Doubles are written in shortest round-trip form, so designs
+/// that differ in any bit get different keys. In-memory only, never
+/// persisted.
 std::string reconstructor_cache_key(const power::DesignParams& design,
                                     const ChainSeeds& seeds,
                                     const cs::ReconstructorConfig& config);

@@ -91,7 +91,7 @@ std::vector<OmpResult> OmpSolver::solve_multi(
     }
     obs::histogram("time/omp_alpha0").observe(seconds_since(alpha_start));
     for (std::size_t l = 0; l < ys.size(); ++l) {
-      results[l] = solve_batch_with_alpha0(ys[l], alpha0[l], /*accel=*/true);
+      results[l] = solve_batch_with_alpha0(ys[l], alpha0[l]);
     }
   } else {
     for (std::size_t l = 0; l < ys.size(); ++l) {
@@ -132,9 +132,9 @@ OmpResult OmpSolver::solve_naive(const linalg::Vector& y) const {
   std::vector<std::size_t> support;
   support.reserve(options_.max_atoms);
   linalg::CholeskyAppend chol(options_.max_atoms);
-  linalg::Vector dt_y;  // <atom_s, y> for s in support, in support order
-  dt_y.reserve(options_.max_atoms);
-  linalg::Vector coef;
+  linalg::Vector cross, coef;  // reused across iterations
+  cross.reserve(options_.max_atoms);
+  coef.reserve(options_.max_atoms);
 
   for (std::size_t iter = 0; iter < options_.max_atoms; ++iter) {
     // Atom selection: largest normalized correlation with the residual.
@@ -153,25 +153,24 @@ OmpResult OmpSolver::solve_naive(const linalg::Vector& y) const {
     }
     if (best == k_atoms || best_score < 1e-15) break;
 
-    // Gram cross terms against the current support.
+    // Gram cross terms against the current support, and <atom, y>.
     const double* new_atom = dict_t_.row_ptr(best);
-    linalg::Vector cross(support.size());
+    cross.resize(support.size());
     for (std::size_t si = 0; si < support.size(); ++si) {
       const double* s_atom = dict_t_.row_ptr(support[si]);
       double g = 0.0;
       for (std::size_t i = 0; i < m_; ++i) g += s_atom[i] * new_atom[i];
       cross[si] = g;
     }
-    if (!chol.append(cross, col_norm_[best] * col_norm_[best])) break;
+    double ay = 0.0;
+    for (std::size_t i = 0; i < m_; ++i) ay += new_atom[i] * y[i];
+    if (!chol.append(cross, col_norm_[best] * col_norm_[best], ay)) break;
 
     in_support[best] = true;
     support.push_back(best);
-    double ay = 0.0;
-    for (std::size_t i = 0; i < m_; ++i) ay += new_atom[i] * y[i];
-    dt_y.push_back(ay);
 
     // Least-squares coefficients on the support, then fresh residual.
-    coef = chol.solve(dt_y);
+    chol.solve(coef);
     residual = y;
     for (std::size_t si = 0; si < support.size(); ++si) {
       const double* s_atom = dict_t_.row_ptr(support[si]);
@@ -203,9 +202,8 @@ OmpResult OmpSolver::solve_batch(const linalg::Vector& y) const {
   return solve_batch_with_alpha0(y, alpha0);
 }
 
-OmpResult OmpSolver::solve_batch_with_alpha0(const linalg::Vector& y,
-                                             const linalg::Vector& alpha0,
-                                             bool accel) const {
+OmpResult OmpSolver::solve_batch_with_alpha0(
+    const linalg::Vector& y, const linalg::Vector& alpha0) const {
   const std::size_t k_atoms = dict_t_.rows();
 
   OmpResult out;
@@ -224,55 +222,40 @@ OmpResult OmpSolver::solve_batch_with_alpha0(const linalg::Vector& y,
 
   linalg::Vector alpha = alpha0;
 
-  std::vector<bool> in_support(k_atoms, false);
-  // Lane-path mask for the AVX2 selection kernel: 0.0 = skip (atom already
-  // in support or zero-norm), mirroring the scalar continue condition.
-  std::vector<double> live;
-  if (accel) {
-    live.resize(k_atoms);
-    for (std::size_t k = 0; k < k_atoms; ++k) {
-      live[k] = col_norm_[k] == 0.0 ? 0.0 : 1.0;
-    }
+  // Selection mask: 0.0 = skip (atom already in the support, or zero-norm).
+  std::vector<double> live(k_atoms);
+  for (std::size_t k = 0; k < k_atoms; ++k) {
+    live[k] = col_norm_[k] == 0.0 ? 0.0 : 1.0;
   }
   std::vector<std::size_t> support;
   support.reserve(options_.max_atoms);
   linalg::CholeskyAppend chol(options_.max_atoms);
-  linalg::Vector dt_y;
+  linalg::Vector dt_y, cross, coef;  // reused across iterations
   dt_y.reserve(options_.max_atoms);
-  linalg::Vector coef;
+  cross.reserve(options_.max_atoms);
+  coef.reserve(options_.max_atoms);
 
   for (std::size_t iter = 0; iter < options_.max_atoms; ++iter) {
-    std::size_t best = k_atoms;
     double best_score = 0.0;
-    if (accel) {
-      best = linalg::select_atom(alpha.data(), col_norm_.data(), live.data(),
-                                 k_atoms, &best_score);
-    } else {
-      for (std::size_t k = 0; k < k_atoms; ++k) {
-        if (in_support[k] || col_norm_[k] == 0.0) continue;
-        const double score = std::fabs(alpha[k]) / col_norm_[k];
-        if (score > best_score) {
-          best_score = score;
-          best = k;
-        }
-      }
-    }
+    const std::size_t best = linalg::select_atom(
+        alpha.data(), col_norm_.data(), live.data(), k_atoms, &best_score);
     if (best == k_atoms || best_score < 1e-15) break;
 
     // Cross terms come straight out of the precomputed Gram; the row read is
     // contiguous because G is symmetric.
     const double* gbest = gram_.row_ptr(best);
-    linalg::Vector cross(support.size());
+    cross.resize(support.size());
     for (std::size_t si = 0; si < support.size(); ++si) {
       cross[si] = gbest[support[si]];
     }
-    if (!chol.append(cross, col_norm_[best] * col_norm_[best])) break;
+    if (!chol.append(cross, col_norm_[best] * col_norm_[best], alpha0[best])) {
+      break;
+    }
 
-    in_support[best] = true;
-    if (accel) live[best] = 0.0;
+    live[best] = 0.0;
     support.push_back(best);
     dt_y.push_back(alpha0[best]);
-    coef = chol.solve(dt_y);
+    chol.solve(coef);
     out.iterations = iter + 1;
 
     // ||r||^2 = ||y||^2 - (A^T y)|_S . c, exact in exact arithmetic.
@@ -287,17 +270,9 @@ OmpResult OmpSolver::solve_batch_with_alpha0(const linalg::Vector& y,
     if (iter + 1 < options_.max_atoms) {
       // alpha = alpha0 - G[:, S] c; columns read as rows by symmetry.
       alpha = alpha0;
-      if (accel) {
-        for (std::size_t si = 0; si < support.size(); ++si) {
-          linalg::sub_scaled(alpha.data(), gram_.row_ptr(support[si]),
-                             coef[si], k_atoms);
-        }
-      } else {
-        for (std::size_t si = 0; si < support.size(); ++si) {
-          const double c = coef[si];
-          const double* grow = gram_.row_ptr(support[si]);
-          for (std::size_t k = 0; k < k_atoms; ++k) alpha[k] -= c * grow[k];
-        }
+      for (std::size_t si = 0; si < support.size(); ++si) {
+        linalg::sub_scaled(alpha.data(), gram_.row_ptr(support[si]), coef[si],
+                           k_atoms);
       }
     }
   }

@@ -10,7 +10,8 @@
 //    dictionary (and, via core::ReconstructorCache, over Monte-Carlo
 //    instances and sweep points sharing a design).
 //  - Naive: explicit residual re-correlation each iteration. Kept as the
-//    reference oracle the equivalence tests check Batch against.
+//    reference oracle the equivalence tests check Batch against (to
+//    rounding; tests/test_omp.cpp pins the Batch output bits).
 //
 // The solver emits obs counters (omp/solves, omp/gram_builds) and timing
 // histograms (time/omp_solve, time/omp_gram_build) so sidecars show where
@@ -69,14 +70,12 @@ class OmpSolver {
  private:
   OmpResult solve_naive(const linalg::Vector& y) const;
   OmpResult solve_batch(const linalg::Vector& y) const;
-  /// Batch-mode support iterations for a precomputed alpha0 = A^T y.
-  /// `accel` (used by the multi-RHS lane path only) swaps the atom
-  /// selection scan and the alpha-update axpys for AVX2 kernels with the
-  /// exact scalar IEEE semantics — identical results, the single-RHS
-  /// oracle path keeps its original code.
+  /// Batch-mode support iterations for a precomputed alpha0 = A^T y. Atom
+  /// selection and the alpha updates run through linalg::select_atom and
+  /// linalg::sub_scaled (AVX2 under runtime dispatch, bit-identical to
+  /// their scalar fallback), on the single-RHS and lane paths alike.
   OmpResult solve_batch_with_alpha0(const linalg::Vector& y,
-                                    const linalg::Vector& alpha0,
-                                    bool accel = false) const;
+                                    const linalg::Vector& alpha0) const;
   /// ||y - A|_S c||, the same subtraction loop as the naive path, so both
   /// engines report bitwise-identical residuals for identical supports.
   double support_residual_norm(const linalg::Vector& y,

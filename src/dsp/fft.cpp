@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <numbers>
 
 #if defined(__x86_64__)
@@ -14,6 +16,50 @@
 namespace efficsense::dsp {
 
 bool is_pow2(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
+
+namespace {
+
+// Twiddle factors of every radix-2 stage, built with the recurrence the
+// butterflies always used (w starts at 1 and multiplies by wlen once per
+// step), so each value is bitwise the one a per-block recurrence yields.
+// Stage `len` occupies entries [len/2 - 1, len - 1); a stage's entries do
+// not depend on the transform length, so the table for n serves every
+// power of two up to n.
+std::vector<Complex> build_twiddles(std::size_t n, bool inverse) {
+  const double sign = inverse ? 1.0 : -1.0;
+  std::vector<Complex> tw(n - 1);
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double ang = sign * 2.0 * std::numbers::pi / static_cast<double>(len);
+    const Complex wlen(std::cos(ang), std::sin(ang));
+    Complex* stage = tw.data() + len / 2 - 1;
+    Complex w(1.0, 0.0);
+    for (std::size_t k = 0; k < len / 2; ++k) {
+      stage[k] = w;
+      w *= wlen;
+    }
+  }
+  return tw;
+}
+
+/// The shared table for transforms of length <= n (n >= 2) in one
+/// direction: one table per direction, replaced by a longer one when a
+/// longer transform first runs, so memory stays bounded by the largest
+/// length in use. Thread-safe; holders keep a replaced table alive.
+std::shared_ptr<const std::vector<Complex>> twiddles(std::size_t n,
+                                                     bool inverse) {
+  static std::mutex mutex;
+  // Forward and inverse tables, guarded by mutex.
+  static std::shared_ptr<const std::vector<Complex>> tables[2];
+  std::lock_guard lock(mutex);
+  auto& table = tables[inverse ? 1 : 0];
+  if (!table || table->size() < n - 1) {
+    table = std::make_shared<const std::vector<Complex>>(
+        build_twiddles(n, inverse));
+  }
+  return table;
+}
+
+}  // namespace
 
 void fft_pow2(std::vector<Complex>& x, bool inverse) {
   const std::size_t n = x.size();
@@ -28,18 +74,24 @@ void fft_pow2(std::vector<Complex>& x, bool inverse) {
     if (i < j) std::swap(x[i], x[j]);
   }
 
-  const double sign = inverse ? 1.0 : -1.0;
+  // v = b*w written out as br*wr - bi*wi / br*wi + bi*wr: what the complex
+  // operator computes for finite values, without its NaN-recovery branch.
+  const auto table = twiddles(n, inverse);
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = sign * 2.0 * std::numbers::pi / static_cast<double>(len);
-    const Complex wlen(std::cos(ang), std::sin(ang));
+    const std::size_t half = len / 2;
+    const Complex* tw = table->data() + half - 1;
     for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = x[i + k];
-        const Complex v = x[i + k + len / 2] * w;
-        x[i + k] = u + v;
-        x[i + k + len / 2] = u - v;
-        w *= wlen;
+      for (std::size_t k = 0; k < half; ++k) {
+        const double wr = tw[k].real();
+        const double wi = tw[k].imag();
+        Complex& u = x[i + k];
+        Complex& b = x[i + k + half];
+        const double vr = b.real() * wr - b.imag() * wi;
+        const double vi = b.real() * wi + b.imag() * wr;
+        const double u_r = u.real();
+        const double u_i = u.imag();
+        u = Complex(u_r + vr, u_i + vi);
+        b = Complex(u_r - vr, u_i - vi);
       }
     }
   }
@@ -51,14 +103,14 @@ void fft_pow2(std::vector<Complex>& x, bool inverse) {
 
 namespace {
 
-// One butterfly stage across all lanes. The (u, v) arithmetic is written
-// exactly as the scalar complex operators expand for finite values
+// One butterfly stage across all lanes, with fft_pow2's arithmetic
 // (v = b*w as br*wr - bi*wi / br*wi + bi*wr, then u +/- v component-wise),
-// so every lane reproduces fft_pow2's rounding. The lane loop has no
-// cross-lane dependency, which is what the AVX2 variant exploits.
+// so every lane reproduces its rounding; `tw` holds the stage's twiddles.
+// The lane loop has no cross-lane dependency, which is what the AVX2
+// variant exploits.
 void butterfly_stage_scalar(double* re, double* im, std::size_t n,
                             std::size_t lanes, std::size_t len,
-                            const std::vector<Complex>& tw) {
+                            const Complex* tw) {
   const std::size_t half = len / 2;
   for (std::size_t i = 0; i < n; i += len) {
     for (std::size_t k = 0; k < half; ++k) {
@@ -87,7 +139,7 @@ void butterfly_stage_scalar(double* re, double* im, std::size_t n,
 // oracle is built without FMA, and contraction would change low bits.
 __attribute__((target("avx2"))) void butterfly_stage_avx2(
     double* re, double* im, std::size_t n, std::size_t lanes, std::size_t len,
-    const std::vector<Complex>& tw) {
+    const Complex* tw) {
   const std::size_t half = len / 2;
   for (std::size_t i = 0; i < n; i += len) {
     for (std::size_t k = 0; k < half; ++k) {
@@ -186,18 +238,9 @@ void fft_pow2_lanes(double* re, double* im, std::size_t n, std::size_t lanes) {
     }
   }
 
-  std::vector<Complex> tw;
+  const auto table = twiddles(n, /*inverse=*/false);
   for (std::size_t len = 2; len <= n; len <<= 1) {
-    // Same twiddle recurrence as fft_pow2 (w starts at 1 and multiplies by
-    // wlen), evaluated once per stage instead of once per block.
-    const double ang = -2.0 * std::numbers::pi / static_cast<double>(len);
-    const Complex wlen(std::cos(ang), std::sin(ang));
-    tw.assign(len / 2, Complex(1.0, 0.0));
-    Complex w(1.0, 0.0);
-    for (std::size_t k = 0; k < len / 2; ++k) {
-      tw[k] = w;
-      w *= wlen;
-    }
+    const Complex* tw = table->data() + len / 2 - 1;
 #if defined(__x86_64__)
     if (lanes >= 4 && linalg::cpu_has_avx2()) {
       butterfly_stage_avx2(re, im, n, lanes, len, tw);

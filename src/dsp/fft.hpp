@@ -11,17 +11,21 @@ namespace efficsense::dsp {
 
 using Complex = std::complex<double>;
 
-/// In-place forward FFT; size must be a power of two.
+/// In-place FFT (inverse normalized by 1/N); size must be a power of two.
+/// Twiddles come from a table shared across calls and threads (built once
+/// per direction with the per-stage recurrence w = 1, w *= wlen), and the
+/// butterfly writes the complex product out in real arithmetic. Inputs must
+/// be finite: the written-out product skips the complex operator's
+/// NaN-recovery step.
 void fft_pow2(std::vector<Complex>& x, bool inverse = false);
 
 /// In-place forward FFT of `lanes` signals in lockstep, stored as
 /// structure-of-arrays with the lane index minor: re[i * lanes + l] /
-/// im[i * lanes + l] hold bin i of lane l. The butterfly schedule and the
-/// twiddle recurrence are identical to fft_pow2 (control flow is
+/// im[i * lanes + l] hold bin i of lane l. The butterfly schedule, its
+/// arithmetic and the twiddle table are fft_pow2's (control flow is
 /// data-independent), so each lane's spectrum matches a scalar fft_pow2 of
-/// that lane bit for bit; the twiddles are computed once and shared. The
-/// per-bin lane rows vectorize across lanes (hand-AVX2 under a runtime
-/// dispatch, scalar fallback otherwise).
+/// that lane bit for bit. The per-bin lane rows vectorize across lanes
+/// (hand-AVX2 under a runtime dispatch, scalar fallback otherwise).
 void fft_pow2_lanes(double* re, double* im, std::size_t n, std::size_t lanes);
 
 /// Forward FFT of arbitrary length (radix-2 when possible, else Bluestein).

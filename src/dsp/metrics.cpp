@@ -127,8 +127,9 @@ Psd welch_psd(const std::vector<double>& x, double fs, std::size_t nperseg,
   EFF_REQUIRE(x.size() >= nperseg, "signal shorter than one Welch segment");
   EFF_REQUIRE(overlap >= 0.0 && overlap < 1.0, "overlap must lie in [0,1)");
 
-  const auto w = make_window(window, nperseg);
-  const double u = window_noise_gain(w);  // normalizes window power
+  const auto win = cached_window(window, nperseg);
+  const std::vector<double>& w = win->samples;
+  const double u = win->noise_gain;  // normalizes window power
   const auto step = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(nperseg) * (1.0 - overlap)));
 
@@ -176,8 +177,9 @@ PsdLanes welch_psd_lanes(const double* xt, std::size_t n, std::size_t lanes,
   // nperseg as a power of two. (welch_psd covers the Bluestein case.)
   EFF_REQUIRE(is_pow2(nperseg), "welch_psd_lanes needs power-of-two nperseg");
 
-  const auto w = make_window(window, nperseg);
-  const double u = window_noise_gain(w);
+  const auto win = cached_window(window, nperseg);
+  const std::vector<double>& w = win->samples;
+  const double u = win->noise_gain;  // normalizes window power
   const auto step = std::max<std::size_t>(
       1, static_cast<std::size_t>(static_cast<double>(nperseg) * (1.0 - overlap)));
 

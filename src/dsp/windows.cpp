@@ -1,6 +1,8 @@
 #include "dsp/windows.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <numbers>
 
 #include "util/error.hpp"
@@ -54,6 +56,37 @@ double window_noise_gain(const std::vector<double>& w) {
   double sum = 0.0;
   for (double v : w) sum += v * v;
   return sum / static_cast<double>(w.size());
+}
+
+std::shared_ptr<const CachedWindow> cached_window(WindowKind kind,
+                                                  std::size_t n) {
+  struct Entry {
+    WindowKind kind;
+    std::size_t n;
+    std::shared_ptr<const CachedWindow> window;
+  };
+  constexpr std::size_t kCapacity = 8;
+  static std::mutex mutex;
+  static std::vector<Entry> entries;  // guarded by mutex, oldest first
+  const auto find = [&] {
+    return std::find_if(entries.begin(), entries.end(), [&](const Entry& e) {
+      return e.kind == kind && e.n == n;
+    });
+  };
+  {
+    std::lock_guard lock(mutex);
+    if (const auto it = find(); it != entries.end()) return it->window;
+  }
+  CachedWindow built;
+  built.samples = make_window(kind, n);
+  built.noise_gain = window_noise_gain(built.samples);
+  auto window = std::make_shared<const CachedWindow>(std::move(built));
+  std::lock_guard lock(mutex);
+  // Another thread may have built the same window meanwhile; share its copy.
+  if (const auto it = find(); it != entries.end()) return it->window;
+  if (entries.size() == kCapacity) entries.erase(entries.begin());
+  entries.push_back({kind, n, window});
+  return window;
 }
 
 WindowKind window_from_name(const std::string& name) {

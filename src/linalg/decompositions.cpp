@@ -1,5 +1,6 @@
 #include "linalg/decompositions.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -114,45 +115,43 @@ Vector lstsq(const Matrix& a, const Vector& b) {
 }
 
 CholeskyAppend::CholeskyAppend(std::size_t max_size)
-    : max_size_(max_size), l_(max_size, max_size) {
+    : max_size_(max_size), l_(max_size, max_size), z_(max_size) {
   EFF_REQUIRE(max_size > 0, "CholeskyAppend requires max_size > 0");
 }
 
-bool CholeskyAppend::append(const Vector& cross, double diag) {
+bool CholeskyAppend::append(const Vector& cross, double diag, double rhs) {
   EFF_REQUIRE(size_ < max_size_, "CholeskyAppend capacity exceeded");
   EFF_REQUIRE(cross.size() == size_, "cross-term vector has wrong size");
   // New row w of L solves L w = cross; new diagonal is sqrt(diag - |w|^2).
-  Vector w(size_);
+  // w is built in place in row size_, which is outside the valid block
+  // until the append succeeds.
+  double* w = l_.row_ptr(size_);
   for (std::size_t i = 0; i < size_; ++i) {
+    const double* li = l_.row_ptr(i);
     double sum = cross[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= l_(i, k) * w[k];
-    w[i] = sum / l_(i, i);
+    for (std::size_t k = 0; k < i; ++k) sum -= li[k] * w[k];
+    w[i] = sum / li[i];
   }
   double d = diag;
   for (std::size_t i = 0; i < size_; ++i) d -= w[i] * w[i];
   if (d <= 1e-14 * std::max(1.0, diag)) return false;  // numerically singular
-  for (std::size_t i = 0; i < size_; ++i) l_(size_, i) = w[i];
-  l_(size_, size_) = std::sqrt(d);
+  w[size_] = std::sqrt(d);
+  // One more forward-substitution step: z[size_] reads only row size_.
+  double sum = rhs;
+  for (std::size_t k = 0; k < size_; ++k) sum -= w[k] * z_[k];
+  z_[size_] = sum / w[size_];
   ++size_;
   return true;
 }
 
-Vector CholeskyAppend::solve(const Vector& rhs) const {
-  EFF_REQUIRE(rhs.size() == size_, "CholeskyAppend::solve shape mismatch");
-  // Forward then back substitution on the leading size_ x size_ block.
-  Vector y(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    double sum = rhs[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= l_(i, k) * y[k];
-    y[i] = sum / l_(i, i);
-  }
-  Vector x(size_);
+void CholeskyAppend::solve(Vector& x) const {
+  // Back substitution L^T x = z on the leading size_ x size_ block.
+  x.resize(size_);
   for (std::size_t ii = size_; ii-- > 0;) {
-    double sum = y[ii];
+    double sum = z_[ii];
     for (std::size_t k = ii + 1; k < size_; ++k) sum -= l_(k, ii) * x[k];
     x[ii] = sum / l_(ii, ii);
   }
-  return x;
 }
 
 }  // namespace efficsense::linalg

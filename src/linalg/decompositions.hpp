@@ -30,8 +30,11 @@ Vector solve(const Matrix& a, const Vector& b);
 Vector lstsq(const Matrix& a, const Vector& b);
 
 /// Incrementally maintained Cholesky factor of G = A_S^T A_S as columns are
-/// appended to the active set S. Backbone of the fast OMP implementation:
-/// appending a column costs O(k^2), solving costs O(k^2).
+/// appended to the active set S, together with the forward-substituted
+/// right-hand side z = L^-1 b. Backbone of the OMP solver: each append costs
+/// O(k^2) and extends z by one entry (entry i of a forward solve reads only
+/// rows <= i, so the kept prefix never changes); each solve is then a single
+/// O(k^2) back substitution. Neither call allocates.
 class CholeskyAppend {
  public:
   explicit CholeskyAppend(std::size_t max_size);
@@ -39,18 +42,21 @@ class CholeskyAppend {
   std::size_t size() const { return size_; }
 
   /// Append a column whose Gram entries against the existing active set are
-  /// `cross` (size k) and whose self inner product is `diag`.
+  /// `cross` (size k), whose self inner product is `diag` and whose
+  /// right-hand-side entry (its inner product with the target) is `rhs`.
   /// Returns false (and leaves the factor unchanged) if the update would
   /// make the matrix numerically singular.
-  bool append(const Vector& cross, double diag);
+  bool append(const Vector& cross, double diag, double rhs);
 
-  /// Solve (A_S^T A_S) x = rhs with the current factor.
-  Vector solve(const Vector& rhs) const;
+  /// Solve (A_S^T A_S) x = b for the appended right-hand sides b. `x` is
+  /// resized to size(); reusing one vector across calls avoids allocation.
+  void solve(Vector& x) const;
 
  private:
   std::size_t max_size_;
   std::size_t size_ = 0;
   Matrix l_;  // lower-triangular factor, only the leading size_ block is valid
+  Vector z_;  // L z = b, only the leading size_ entries are valid
 };
 
 }  // namespace efficsense::linalg

@@ -1,11 +1,12 @@
 #pragma once
-// Cross-lane SIMD kernels for the K-lane batched engine. Every kernel keeps
-// each lane's floating-point accumulation order identical to the scalar
-// path — SIMD runs ACROSS lanes, never along a reduction index — so batched
-// results match the scalar oracle bit for bit. The AVX2 variants are picked
-// by a runtime CPU probe and use separate multiply and add instructions:
-// the build carries no -march flag, so the scalar path never contracts to
-// FMA and the vector path must not either.
+// SIMD kernels for the K-lane batched engine and for every Batch-OMP solve.
+// Every kernel keeps each result's floating-point operation order identical
+// to a plain scalar loop — SIMD runs ACROSS lanes or independent elements,
+// never along a reduction index — so results match the scalar loop bit for
+// bit at any width. The AVX2 variants are picked by a runtime CPU probe,
+// with a scalar fallback, and use separate multiply and add instructions:
+// the build carries no -march flag, so scalar code never contracts to FMA
+// and the vector path must not either.
 
 #include <cstddef>
 

@@ -1,6 +1,8 @@
 #include "serve/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "arch/recon_cache.hpp"
 #include "cs/solver.hpp"
@@ -61,6 +63,12 @@ Status DecodePipeline::validate(const EpochRequest& req) const {
   }
   if (window_samples < min_epoch_samples(h.scenario_id)) {
     return Status::kShortEpoch;
+  }
+  // The decoders assume finite input (the FFT butterflies skip the complex
+  // operator's NaN recovery), and a NaN would only come back as a NaN score.
+  if (!std::all_of(req.y.begin(), req.y.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    return Status::kNonFinite;
   }
   return Status::kOk;
 }

@@ -42,8 +42,8 @@ class DecodePipeline {
       std::vector<const run::ScenarioContext*> scenarios);
 
   /// Admission check without decoding: kOk, or the typed rejection a
-  /// malformed/unservable request earns (kUnknownScenario, kBadM,
-  /// kShortEpoch, kOversize).
+  /// malformed/unservable request earns (kUnknownScenario, kTruncated,
+  /// kBadM, kShortEpoch, kNonFinite).
   Status validate(const EpochRequest& req) const;
 
   /// Decode + detect. The request must have passed validate().

@@ -103,6 +103,7 @@ const char* status_name(Status s) {
     case Status::kUnknownScenario: return "unknown_scenario";
     case Status::kBadM: return "bad_m";
     case Status::kShortEpoch: return "short_epoch";
+    case Status::kNonFinite: return "non_finite";
     case Status::kInternal: return "internal_error";
   }
   return "unknown_status";

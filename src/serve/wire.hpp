@@ -63,6 +63,7 @@ enum class Status : std::uint16_t {
   kUnknownScenario = 20,
   kBadM = 21,        ///< M = 0 with payload not raw, M > N_Phi, or y % M != 0
   kShortEpoch = 22,  ///< decoded window shorter than one detector epoch
+  kNonFinite = 23,   ///< a measurement is NaN or infinite
   kInternal = 30,    ///< decode failed after admission (server-side fault)
 };
 

@@ -358,3 +358,17 @@ TEST(ReconstructorCache, KeyCoversPhiAndConfig) {
   EXPECT_NE(arch::reconstructor_cache_key(design, a, cfg),
             arch::reconstructor_cache_key(design2, a, cfg));
 }
+
+TEST(ReconstructorCache, KeySeparatesDesignsOneUlpApart) {
+  power::DesignParams design;
+  design.cs_m = 40;
+  power::DesignParams next = design;
+  next.cs_c_hold_f = std::nextafter(design.cs_c_hold_f, 1.0);
+  ASSERT_NE(next.cs_c_hold_f, design.cs_c_hold_f);
+  const arch::ChainSeeds seeds;
+  const cs::ReconstructorConfig cfg;
+  EXPECT_NE(arch::reconstructor_cache_key(design, seeds, cfg),
+            arch::reconstructor_cache_key(next, seeds, cfg));
+  EXPECT_EQ(arch::reconstructor_cache_key(next, seeds, cfg),
+            arch::reconstructor_cache_key(next, seeds, cfg));
+}

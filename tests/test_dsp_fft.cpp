@@ -1,10 +1,16 @@
 // FFT correctness: impulse/sine spectra, Parseval, round trips, Bluestein
-// (arbitrary length) against a naive DFT reference.
+// (arbitrary length) against a naive DFT reference; bit-level goldens of
+// fft/ifft, lane-vs-scalar bit equality, and the shared twiddle and window
+// tables.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <thread>
 
 #include "dsp/fft.hpp"
 #include "dsp/windows.hpp"
@@ -132,6 +138,84 @@ TEST(Fft, EmptyThrows) {
   EXPECT_THROW(dsp::ifft({}), Error);
 }
 
+// ---------------------------------------------------------------------------
+// Bit-level goldens. The tolerance tests above accept any accurate
+// transform; these pin the exact output bits of the radix-2 butterflies,
+// their twiddle tables and Bluestein's chirp convolution, so a rewrite of
+// the transform must reproduce every bit.
+
+namespace {
+
+/// Every power of two from 2 to 4096, then three Bluestein lengths.
+std::vector<std::size_t> golden_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n <= 4096; n *= 2) sizes.push_back(n);
+  for (std::size_t n : {383, 1075, 1150}) sizes.push_back(n);
+  return sizes;
+}
+
+/// FNV-1a over the raw bits of each real and imaginary part, LSB first.
+void fnv1a_complex(std::uint64_t& h, const std::vector<Complex>& v) {
+  for (const auto& c : v) {
+    for (double d : {c.real(), c.imag()}) {
+      const auto bits = std::bit_cast<std::uint64_t>(d);
+      for (int i = 0; i < 8; ++i) {
+        h ^= (bits >> (8 * i)) & 0xFF;
+        h *= 0x100000001B3ULL;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(FftGolden, ForwardOutputBitsArePinned) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::size_t n : golden_sizes()) {
+    fnv1a_complex(h, dsp::fft(random_signal(n, 31 + n)));
+  }
+  EXPECT_EQ(h, 0x862FCAEBA6A015F4ULL) << std::hex << h;
+}
+
+TEST(FftGolden, InverseOutputBitsArePinned) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::size_t n : golden_sizes()) {
+    fnv1a_complex(h, dsp::ifft(random_signal(n, 57 + n)));
+  }
+  EXPECT_EQ(h, 0x869384D99F794B67ULL) << std::hex << h;
+}
+
+TEST(FftLanes, EveryLaneMatchesScalarTransformBitwise) {
+  // Lane counts below, at and above the 4-wide AVX2 block, with a tail.
+  for (std::size_t n = 2; n <= 1024; n *= 2) {
+    for (std::size_t lanes : {1, 3, 4, 5, 8}) {
+      std::vector<std::vector<Complex>> scalar;
+      std::vector<double> re(n * lanes), im(n * lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        scalar.push_back(random_signal(n, 100 * n + l));
+        for (std::size_t i = 0; i < n; ++i) {
+          re[i * lanes + l] = scalar[l][i].real();
+          im[i * lanes + l] = scalar[l][i].imag();
+        }
+        dsp::fft_pow2(scalar[l]);
+      }
+      dsp::fft_pow2_lanes(re.data(), im.data(), n, lanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(re[i * lanes + l]),
+                    std::bit_cast<std::uint64_t>(scalar[l][i].real()))
+              << "n=" << n << " lanes=" << lanes << " lane " << l
+              << " bin " << i;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(im[i * lanes + l]),
+                    std::bit_cast<std::uint64_t>(scalar[l][i].imag()))
+              << "n=" << n << " lanes=" << lanes << " lane " << l
+              << " bin " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(Windows, CoherentGainOfRectIsOne) {
   const auto w = dsp::make_window(dsp::WindowKind::Rectangular, 128);
   EXPECT_DOUBLE_EQ(dsp::window_coherent_gain(w), 1.0);
@@ -161,4 +245,58 @@ TEST(Windows, FromName) {
   EXPECT_EQ(dsp::window_from_name("hann"), dsp::WindowKind::Hann);
   EXPECT_EQ(dsp::window_from_name("bh"), dsp::WindowKind::BlackmanHarris);
   EXPECT_THROW(dsp::window_from_name("nope"), Error);
+}
+
+TEST(Windows, CachedWindowIsMakeWindowBitwise) {
+  // More (kind, length) pairs than the cache holds, requested twice: every
+  // answer, fresh build or hit, carries make_window's bits and noise gain.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (auto kind : {dsp::WindowKind::Rectangular, dsp::WindowKind::Hann,
+                      dsp::WindowKind::Hamming, dsp::WindowKind::BlackmanHarris,
+                      dsp::WindowKind::FlatTop}) {
+      for (std::size_t n : {8, 64, 100, 256}) {
+        const auto cached = dsp::cached_window(kind, n);
+        const auto w = dsp::make_window(kind, n);
+        ASSERT_EQ(cached->samples.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(cached->samples[i]),
+                    std::bit_cast<std::uint64_t>(w[i]));
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(cached->noise_gain),
+                  std::bit_cast<std::uint64_t>(dsp::window_noise_gain(w)));
+      }
+    }
+  }
+  // A repeated request shares the table built by the first one.
+  const auto a = dsp::cached_window(dsp::WindowKind::Hann, 512);
+  EXPECT_EQ(dsp::cached_window(dsp::WindowKind::Hann, 512).get(), a.get());
+}
+
+TEST(FftTables, ServeConcurrentCallers) {
+  // Threads grow the twiddle table and cycle the window cache past its
+  // capacity while others read them; every result matches the serial one.
+  const std::vector<std::size_t> sizes = {4096, 2, 256, 1024, 8, 383, 64};
+  std::vector<std::vector<Complex>> want;
+  for (std::size_t n : sizes) want.push_back(dsp::fft(random_signal(n, n)));
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) {
+        for (std::size_t j = 0; j < sizes.size(); ++j) {
+          const std::size_t i = (j + std::size_t(t)) % sizes.size();
+          if (dsp::fft(random_signal(sizes[i], sizes[i])) != want[i]) {
+            ++mismatches;
+          }
+          const std::size_t n = 16 + std::size_t(t) * 16 + std::size_t(rep % 6);
+          const auto w = dsp::cached_window(dsp::WindowKind::Hann, n);
+          if (w->samples != dsp::make_window(dsp::WindowKind::Hann, n)) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }

@@ -209,15 +209,16 @@ TEST(CholeskyAppend, MatchesBatchSolve) {
   const auto b = random_vector(m, 52);
 
   linalg::CholeskyAppend inc(k);
-  Vector atb;
+  Vector x_inc;
   for (std::size_t j = 0; j < k; ++j) {
     const auto col = a.column(j);
     Vector cross(j);
     for (std::size_t i = 0; i < j; ++i) cross[i] = linalg::dot(a.column(i), col);
-    ASSERT_TRUE(inc.append(cross, linalg::dot(col, col)));
-    atb.push_back(linalg::dot(col, b));
+    ASSERT_TRUE(inc.append(cross, linalg::dot(col, col), linalg::dot(col, b)));
+    // Every prefix solves its own least-squares problem.
+    inc.solve(x_inc);
+    ASSERT_EQ(x_inc.size(), j + 1);
   }
-  const auto x_inc = inc.solve(atb);
   const auto x_ls = linalg::lstsq(a, b);
   for (std::size_t i = 0; i < k; ++i) EXPECT_NEAR(x_inc[i], x_ls[i], 1e-8);
 }
@@ -227,16 +228,132 @@ TEST(CholeskyAppend, RejectsDuplicateColumn) {
   const auto col = a.column(0);
   const double g = linalg::dot(col, col);
   linalg::CholeskyAppend inc(3);
-  ASSERT_TRUE(inc.append({}, g));
+  ASSERT_TRUE(inc.append({}, g, 2.0 * g));
   // Appending a numerically identical column must be refused.
-  EXPECT_FALSE(inc.append({g}, g));
+  EXPECT_FALSE(inc.append({g}, g, 2.0 * g));
   EXPECT_EQ(inc.size(), 1u);
+  // The refused append left the factor and the right-hand side intact.
+  Vector x;
+  inc.solve(x);
+  ASSERT_EQ(x.size(), 1u);
+  EXPECT_DOUBLE_EQ(x[0], 2.0);
 }
 
 TEST(CholeskyAppend, CapacityEnforced) {
   linalg::CholeskyAppend inc(1);
-  ASSERT_TRUE(inc.append({}, 2.0));
-  EXPECT_THROW(inc.append({0.0}, 2.0), Error);
+  ASSERT_TRUE(inc.append({}, 2.0, 1.0));
+  EXPECT_THROW(inc.append({0.0}, 2.0, 1.0), Error);
+}
+
+// ---------------------------------------------------------------------------
+// Batch-OMP kernels (runtime-dispatched, AVX2 where the CPU has it) against
+// plain loops written here: the in-solver scalar copies are gone, so these
+// loops are the reference the kernels must match bit for bit.
+
+#include <bit>
+
+#include "linalg/lane_kernels.hpp"
+
+namespace {
+
+std::size_t plain_select_atom(const std::vector<double>& alpha,
+                              const std::vector<double>& col_norm,
+                              const std::vector<double>& live,
+                              double* best_score) {
+  std::size_t best = alpha.size();
+  double score_best = 0.0;
+  for (std::size_t k = 0; k < alpha.size(); ++k) {
+    if (live[k] == 0.0) continue;
+    const double s = std::fabs(alpha[k]) / col_norm[k];
+    if (s > score_best) {
+      score_best = s;
+      best = k;
+    }
+  }
+  *best_score = score_best;
+  return best;
+}
+
+void expect_select_atom_matches(const std::vector<double>& alpha,
+                                const std::vector<double>& col_norm,
+                                const std::vector<double>& live,
+                                const std::string& what) {
+  double want_score = -1.0, got_score = -1.0;
+  const auto want = plain_select_atom(alpha, col_norm, live, &want_score);
+  const auto got = linalg::select_atom(alpha.data(), col_norm.data(),
+                                       live.data(), alpha.size(), &got_score);
+  EXPECT_EQ(got, want) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got_score),
+            std::bit_cast<std::uint64_t>(want_score))
+      << what;
+}
+
+}  // namespace
+
+TEST(LaneKernels, SelectAtomMatchesPlainLoopBitwise) {
+  Rng rng(808);
+  // Lengths around the 4-wide block: empty, tails only, n % 4 != 0.
+  for (std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 64, 97, 130}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> alpha(n), col_norm(n), live(n, 1.0);
+      for (std::size_t k = 0; k < n; ++k) {
+        alpha[k] = rng.gaussian();
+        col_norm[k] = 0.5 + rng.uniform();
+        // Masked atoms, as OMP masks its support.
+        if (rng.chance(0.2)) live[k] = 0.0;
+        // Zero column norms, masked the way OMP masks them.
+        if (rng.chance(0.1)) {
+          col_norm[k] = 0.0;
+          live[k] = 0.0;
+        }
+      }
+      const std::string what =
+          "n=" + std::to_string(n) + " trial " + std::to_string(trial);
+      expect_select_atom_matches(alpha, col_norm, live, what);
+
+      // Ties: copy the winner's score to later atoms, in the same block and
+      // in later blocks. The first strict winner must still win.
+      double score = 0.0;
+      const auto best = plain_select_atom(alpha, col_norm, live, &score);
+      if (best == n) continue;
+      for (std::size_t k = best + 1; k < n; k += 3) {
+        alpha[k] = alpha[best];
+        col_norm[k] = col_norm[best];
+        live[k] = 1.0;
+      }
+      expect_select_atom_matches(alpha, col_norm, live, what + " ties");
+    }
+  }
+  // An unmasked zero-norm atom scores +inf in both.
+  expect_select_atom_matches({0.1, 0.2, 0.3, 0.4, -0.5}, {1, 1, 1, 1, 0},
+                             {1, 1, 1, 1, 1}, "inf score");
+  // Nothing live, or nothing above zero: n comes back with score 0.
+  expect_select_atom_matches({1, 2, 3, 4, 5}, {1, 1, 1, 1, 1},
+                             {0, 0, 0, 0, 0}, "all masked");
+  expect_select_atom_matches({0, 0, 0, 0, 0, 0}, {1, 1, 1, 1, 1, 1},
+                             {1, 1, 1, 1, 1, 1}, "all zero");
+}
+
+TEST(LaneKernels, SubScaledMatchesPlainLoopBitwise) {
+  Rng rng(909);
+  for (std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 64, 97, 130}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<double> a(n), r(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        a[k] = rng.gaussian() * 1e3;
+        r[k] = rng.gaussian();
+      }
+      const double c = trial == 0 ? 0.0 : rng.gaussian();
+      auto want = a;
+      for (std::size_t k = 0; k < n; ++k) want[k] -= c * r[k];
+      linalg::sub_scaled(a.data(), r.data(), c, n);
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a[k]),
+                  std::bit_cast<std::uint64_t>(want[k]))
+            << "n=" << n << " trial " << trial << " k=" << k;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

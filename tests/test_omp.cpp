@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 #include <string>
@@ -230,13 +231,24 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, ReconAlgos,
 
 #include "util/thread_pool.hpp"
 
-TEST(OmpBatch, MatchesNaiveOn50RandomProblems) {
+namespace {
+
+struct OmpProblem {
+  linalg::Matrix dict;
+  linalg::Vector y;
+  cs::OmpOptions opts;
+};
+
+/// Fifty seeded problems of mixed shape, noise and tolerance: the
+/// Batch-vs-Naive equivalence set and the single-RHS golden's input.
+std::vector<OmpProblem> fifty_random_problems() {
   Rng rng(4242);
+  std::vector<OmpProblem> problems;
   for (int trial = 0; trial < 50; ++trial) {
     const auto m = 20 + static_cast<std::size_t>(rng.below(80));
     const auto k = m + 10 + static_cast<std::size_t>(rng.below(3 * m));
     const auto nnz = 2 + static_cast<std::size_t>(rng.below(m / 5 + 1));
-    const auto dict = gaussian_dict(m, k, 1000 + static_cast<std::uint64_t>(trial));
+    auto dict = gaussian_dict(m, k, 1000 + static_cast<std::uint64_t>(trial));
     const auto x0 = sparse_vector(k, nnz, 2000 + static_cast<std::uint64_t>(trial));
     auto y = linalg::matvec(dict, x0);
     if (trial % 2 == 1) {  // half the problems get measurement noise
@@ -245,7 +257,30 @@ TEST(OmpBatch, MatchesNaiveOn50RandomProblems) {
     cs::OmpOptions opts;
     opts.max_atoms = 2 * nnz;
     opts.residual_tol = (trial % 3 == 0) ? 1e-10 : 0.05;
+    problems.push_back({std::move(dict), std::move(y), opts});
+  }
+  return problems;
+}
 
+/// FNV-1a over raw 64-bit words (doubles by their bit patterns), LSB first.
+void fnv1a_word(std::uint64_t& h, std::uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ULL;
+  }
+}
+
+void fnv1a_doubles(std::uint64_t& h, const linalg::Vector& v) {
+  for (double d : v) fnv1a_word(h, std::bit_cast<std::uint64_t>(d));
+}
+
+}  // namespace
+
+TEST(OmpBatch, MatchesNaiveOn50RandomProblems) {
+  const auto problems = fifty_random_problems();
+  for (std::size_t trial = 0; trial < problems.size(); ++trial) {
+    const auto& [dict, y, base_opts] = problems[trial];
+    cs::OmpOptions opts = base_opts;
     opts.mode = cs::OmpMode::Naive;
     const auto naive = cs::omp_solve(dict, y, opts);
     opts.mode = cs::OmpMode::Batch;
@@ -254,7 +289,7 @@ TEST(OmpBatch, MatchesNaiveOn50RandomProblems) {
     ASSERT_EQ(batch.support, naive.support) << "trial " << trial;
     EXPECT_EQ(batch.iterations, naive.iterations) << "trial " << trial;
     const double scale = 1.0 + linalg::norm2(naive.coefficients);
-    for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t i = 0; i < dict.cols(); ++i) {
       EXPECT_NEAR(batch.coefficients[i], naive.coefficients[i], 1e-9 * scale)
           << "trial " << trial << " atom " << i;
     }
@@ -262,6 +297,38 @@ TEST(OmpBatch, MatchesNaiveOn50RandomProblems) {
                 1e-9 * (1.0 + naive.residual_norm))
         << "trial " << trial;
   }
+}
+
+// Seed-pinned golden of the single-RHS Batch-OMP output bits: support,
+// iteration count, coefficient and residual bits on the fifty problems
+// above, then the reconstructed charge-sharing frames of the test below.
+// The Naive engine agrees only to rounding, so this hash is what pins the
+// Batch path's arithmetic (selection kernel, Cholesky append and solve,
+// Gram update) across rewrites.
+TEST(OmpBatch, SingleRhsOutputBitsArePinned) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const auto& [dict, y, opts] : fifty_random_problems()) {
+    const auto r = cs::omp_solve(dict, y, opts);
+    for (std::size_t s : r.support) fnv1a_word(h, s);
+    fnv1a_word(h, r.iterations);
+    fnv1a_doubles(h, r.coefficients);
+    fnv1a_word(h, std::bit_cast<std::uint64_t>(r.residual_norm));
+  }
+  EXPECT_EQ(h, 0xA6396D0361413B2DULL) << std::hex << h;
+
+  const std::size_t n = 384, m = 100;
+  const auto phi = cs::SparseBinaryMatrix::generate(m, n, 2, 55);
+  const auto gains = cs::charge_sharing_gains(0.125e-12, 0.5e-12);
+  cs::ReconstructorConfig cfg;
+  cfg.residual_tol = 0.02;
+  const cs::Reconstructor rec(phi, gains, cfg);
+  const auto w = cs::effective_entry_weights(phi, gains.a, gains.b);
+  std::uint64_t frames = 0xCBF29CE484222325ULL;
+  for (std::uint64_t seed = 0; seed < 5; ++seed) {
+    const auto y = phi.csr().apply(bandlimited_frame(n, 60 + seed), w);
+    fnv1a_doubles(frames, rec.reconstruct_frame(y));
+  }
+  EXPECT_EQ(frames, 0xF16E98A38B4802A6ULL) << std::hex << frames;
 }
 
 TEST(OmpBatch, GramIsOnlyBuiltInBatchMode) {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <thread>
 
 #include "arch/scenario.hpp"
@@ -209,6 +210,8 @@ TEST(ServeWire, StatusTaxonomy) {
   EXPECT_FALSE(status_retryable(Status::kUnknownScenario));
   EXPECT_STREQ(status_name(Status::kBadMagic), "bad_magic");
   EXPECT_STREQ(status_name(Status::kInternal), "internal_error");
+  EXPECT_FALSE(status_retryable(Status::kNonFinite));
+  EXPECT_STREQ(status_name(Status::kNonFinite), "non_finite");
 }
 
 // --- Backpressure primitives ------------------------------------------------
@@ -385,6 +388,53 @@ TEST_F(ServePipelineTest, ValidateRejectsUnservableRequests) {
   req = make_request(75, 1);
   req.y.clear();
   EXPECT_EQ(pipeline_->validate(req), Status::kTruncated);
+}
+
+TEST_F(ServePipelineTest, NonFiniteMeasurementsAreRejectedAndSessionContinues) {
+  const auto uds = scratch_uds("nonfinite");
+  auto config = test_config(uds);
+  // Room for exactly one in-flight frame: a charge leaked by a rejected
+  // frame would turn the valid frame after it into kRetryBudget.
+  const auto good = make_request(75, 6);
+  config.session_budget_bytes = kHeaderBytes + 48 + good.y.size() * 8 + 64;
+  Server server(pipeline_, config);
+  server.start();
+  {
+    auto client = Client::connect_unix(uds);
+    client.hello({1, 0, 1});
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      for (const std::uint32_t m : {std::uint32_t(75), std::uint32_t(0)}) {
+        auto req = make_request(m, 6);
+        req.y[req.y.size() / 2] = bad;
+        EXPECT_EQ(pipeline_->validate(req), Status::kNonFinite);
+      }
+      auto req = good;
+      req.y[req.y.size() / 2] = bad;
+      client.send_data(req.header, req.y.data(), req.y.size());
+      const auto resp = client.recv();
+      ASSERT_TRUE(resp.has_value());
+      EXPECT_EQ(resp->type, FrameType::kError);
+      EXPECT_EQ(resp->status, Status::kNonFinite);
+    }
+    client.send_data(good.header, good.y.data(), good.y.size());
+    const auto resp = client.recv();
+    ASSERT_TRUE(resp.has_value());
+    ASSERT_EQ(resp->type, FrameType::kDetection);
+    ASSERT_TRUE(resp->detection.has_value());
+    const auto oracle = pipeline_->decode(good);
+    EXPECT_EQ(std::memcmp(&resp->detection->score, &oracle.score,
+                          sizeof(double)),
+              0);
+    EXPECT_EQ(resp->detection->n_samples, oracle.n_samples);
+    const auto bye = client.bye();
+    EXPECT_EQ(bye.frames_rejected, 2u);
+    EXPECT_EQ(bye.frames_accepted, 1u);
+  }
+  server.stop();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.queued_bytes, 0u) << "rejected frames leaked budget";
+  EXPECT_EQ(stats.frames_rejected, 2u);
 }
 
 TEST_F(ServePipelineTest, DecodeIsDeterministicBitwise) {
