@@ -49,6 +49,7 @@
 #include "serve/client.hpp"
 #include "serve/pipeline.hpp"
 #include "serve/server.hpp"
+#include "util/cache.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -137,13 +138,13 @@ std::uint64_t digest_recs(std::vector<Rec> recs) {
     return a.node_id != b.node_id ? a.node_id < b.node_id
                                   : a.epoch_index < b.epoch_index;
   });
-  std::uint64_t d = serve::kFnvOffset;
+  std::uint64_t d = kFnvOffset;
   for (const auto& r : recs) {
-    d = serve::fnv1a_update(d, &r.node_id, sizeof r.node_id);
-    d = serve::fnv1a_update(d, &r.epoch_index, sizeof r.epoch_index);
-    d = serve::fnv1a_update(d, &r.score_bits, sizeof r.score_bits);
-    d = serve::fnv1a_update(d, &r.n_samples, sizeof r.n_samples);
-    d = serve::fnv1a_update(d, &r.detected, sizeof r.detected);
+    d = fnv1a_update(d, &r.node_id, sizeof r.node_id);
+    d = fnv1a_update(d, &r.epoch_index, sizeof r.epoch_index);
+    d = fnv1a_update(d, &r.score_bits, sizeof r.score_bits);
+    d = fnv1a_update(d, &r.n_samples, sizeof r.n_samples);
+    d = fnv1a_update(d, &r.detected, sizeof r.detected);
   }
   return d;
 }

@@ -24,12 +24,6 @@ Fd& Fd::operator=(Fd&& o) noexcept {
   return *this;
 }
 
-int Fd::release() {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
-}
-
 void Fd::reset() {
   if (fd_ >= 0) {
     ::close(fd_);

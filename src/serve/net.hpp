@@ -25,7 +25,6 @@ class Fd {
 
   int get() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
-  int release();
   void reset();
 
  private:

@@ -1,12 +1,52 @@
 #include "serve/wire.hpp"
 
+#include <array>
+#include <bit>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace efficsense::serve {
 
+// Doubles cross the wire as one memcpy of their in-memory bytes, which is
+// the little-endian wire order only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the wire is little-endian; doubles are copied as raw bytes");
+
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
+constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;  // Castagnoli, reflected
+
+constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
+  std::array<std::uint32_t, 256> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (kCrc32cPoly & (0u - (c & 1u)));
+    t[i] = c;
+  }
+  return t;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table();
+
+#if defined(__x86_64__)
+// Eight bytes per crc32 instruction, then the tail byte by byte. Loads go
+// through memcpy, so any start alignment is fine.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
+    const unsigned char* p, std::size_t n) {
+  std::uint64_t c = 0xFFFFFFFFu;
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof word);
+    c = _mm_crc32_u64(c, word);
+  }
+  auto c32 = std::uint32_t(c);
+  for (; n > 0; --n, ++p) c32 = _mm_crc32_u8(c32, *p);
+  return ~c32;
+}
+#endif
 
 void put_u16(std::string& out, std::uint16_t v) {
   for (int i = 0; i < 2; ++i) out.push_back(char((v >> (8 * i)) & 0xFF));
@@ -17,10 +57,8 @@ void put_u32(std::string& out, std::uint32_t v) {
 void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(char((v >> (8 * i)) & 0xFF));
 }
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(out, bits);
+void put_f64s(std::string& out, const double* v, std::size_t n) {
+  out.append(reinterpret_cast<const char*>(v), 8 * n);
 }
 
 /// Cursor over a body buffer; every get_* checks the remaining length.
@@ -58,28 +96,41 @@ struct Reader {
     for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
     return v;
   }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
+  void f64s(double* out, std::size_t k) {
+    if (k > 0) take(out, 8 * k);  // an empty vector's data() may be null
   }
 };
 
 }  // namespace
 
-std::uint64_t fnv1a_update(std::uint64_t state, const void* data,
-                           std::size_t n) {
+std::uint32_t crc32c_table(const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
+  std::uint32_t c = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < n; ++i) {
-    state ^= p[i];
-    state *= kFnvPrime;
+    c = kCrc32cTable[(c ^ p[i]) & 0xFF] ^ (c >> 8);
   }
-  return state;
+  return ~c;
 }
 
-std::uint64_t fnv1a_bytes(const void* data, std::size_t n) {
-  return fnv1a_update(kFnvOffset, data, n);
+bool cpu_has_sse42() {
+#if defined(__x86_64__)
+  static const bool has = __builtin_cpu_supports("sse4.2");
+  return has;
+#else
+  return false;
+#endif
+}
+
+std::uint32_t crc32c_sse42(const void* data, std::size_t n) {
+#if defined(__x86_64__)
+  return crc32c_hw(static_cast<const unsigned char*>(data), n);
+#else
+  return crc32c_table(data, n);
+#endif
+}
+
+std::uint32_t crc32c(const void* data, std::size_t n) {
+  return cpu_has_sse42() ? crc32c_sse42(data, n) : crc32c_table(data, n);
 }
 
 bool status_retryable(Status s) {
@@ -118,7 +169,7 @@ std::string encode_frame(FrameType type, Status status,
   frame.push_back(char(kVersion));
   frame.push_back(char(type));
   put_u16(frame, std::uint16_t(status));
-  put_u64(frame, fnv1a_bytes(body.data(), body.size()));
+  put_u64(frame, crc32c(body.data(), body.size()));
   frame += body;
   return frame;
 }
@@ -140,7 +191,7 @@ Status parse_frame(const std::uint8_t* data, std::size_t len,
   }
   const std::uint16_t status = r.u16();
   const std::uint64_t crc = r.u64();
-  if (fnv1a_bytes(r.p, r.n) != crc) return Status::kBadCrc;
+  if (crc32c(r.p, r.n) != crc) return Status::kBadCrc;
   out->type = FrameType(type);
   out->status = Status(status);
   out->body = r.p;
@@ -199,7 +250,7 @@ std::string encode_data(const DataHeader& h, const double* y, std::size_t n) {
   put_u64(b, h.epoch_index);
   put_u32(b, std::uint32_t(n));
   put_u32(b, 0);  // reserved
-  for (std::size_t i = 0; i < n; ++i) put_f64(b, y[i]);
+  put_f64s(b, y, n);
   return b;
 }
 
@@ -228,7 +279,7 @@ std::optional<DataFrame> decode_data(const std::uint8_t* body, std::size_t len,
     return std::nullopt;
   }
   f.y.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) f.y[i] = r.f64();
+  r.f64s(f.y.data(), count);
   *why = Status::kOk;
   return f;
 }
@@ -237,7 +288,7 @@ std::string encode_detection(const Detection& d) {
   std::string b;
   put_u64(b, d.node_id);
   put_u64(b, d.epoch_index);
-  put_f64(b, d.score);
+  put_f64s(b, &d.score, 1);
   put_u32(b, d.n_samples);
   b.push_back(char(d.detected));
   b.push_back(0);
@@ -252,7 +303,7 @@ std::optional<Detection> decode_detection(const std::uint8_t* body,
   Detection d;
   d.node_id = r.u64();
   d.epoch_index = r.u64();
-  d.score = r.f64();
+  r.f64s(&d.score, 1);
   d.n_samples = r.u32();
   std::uint8_t det = 0;
   r.take(&det, 1);

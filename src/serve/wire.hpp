@@ -1,8 +1,8 @@
 #pragma once
 // Wire protocol of the streaming gateway (DESIGN.md §14). Sessions exchange
 // length-prefixed binary frames; every frame starts with a fixed 16-byte
-// header (magic, version, type, status, FNV-1a64 body checksum — the same
-// hash discipline as the run journal) followed by a type-specific body.
+// header (magic, version, type, status, CRC-32C of the body zero-extended
+// to 64 bits) followed by a type-specific body.
 // All integers are little-endian fixed width; doubles travel as their raw
 // IEEE-754 bit patterns, so a detection score returned by the daemon can be
 // compared bit for bit against the offline oracle.
@@ -19,16 +19,22 @@
 
 namespace efficsense::serve {
 
-/// FNV-1a64 over a raw byte range (identical constants to util::fnv1a).
-std::uint64_t fnv1a_bytes(const void* data, std::size_t n);
-/// Incremental form: fold `n` bytes into a running FNV-1a64 state.
-std::uint64_t fnv1a_update(std::uint64_t state, const void* data,
-                           std::size_t n);
-inline constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+/// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78, initial value and
+/// final xor 0xFFFFFFFF) of a byte range: the frame body checksum. Runs the
+/// SSE4.2 crc32 instruction when the CPU has it, else crc32c_table.
+std::uint32_t crc32c(const void* data, std::size_t n);
+/// The portable path: one 256-entry table lookup per byte.
+std::uint32_t crc32c_table(const void* data, std::size_t n);
+/// The hardware path; call only when cpu_has_sse42().
+std::uint32_t crc32c_sse42(const void* data, std::size_t n);
+/// True when the CPU has the SSE4.2 crc32 instruction (cached probe).
+bool cpu_has_sse42();
 
 inline constexpr std::uint32_t kMagic = 0x45535256;  // "ESRV"
-inline constexpr std::uint8_t kVersion = 1;
-/// Wire header: u32 magic, u8 version, u8 type, u16 status, u64 crc.
+/// Version 2: CRC-32C body checksum (version 1 carried FNV-1a 64).
+inline constexpr std::uint8_t kVersion = 2;
+/// Wire header: u32 magic, u8 version, u8 type, u16 status, u64 crc (the
+/// CRC-32C in the low 32 bits, the high 32 bits zero).
 inline constexpr std::size_t kHeaderBytes = 16;
 /// Hard ceiling on one frame's length prefix: nothing the protocol carries
 /// legitimately approaches this, so larger prefixes are rejected before any

@@ -11,13 +11,18 @@ namespace fs = std::filesystem;
 
 namespace efficsense {
 
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
-  for (unsigned char c : data) {
-    hash ^= c;
-    hash *= 0x100000001B3ULL;
+std::uint64_t fnv1a_update(std::uint64_t state, const void* data,
+                           std::size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    state ^= p[i];
+    state *= 0x100000001B3ULL;
   }
-  return hash;
+  return state;
+}
+
+std::uint64_t fnv1a(const std::string& data) {
+  return fnv1a_update(kFnvOffset, data.data(), data.size());
 }
 
 FileCache::FileCache(std::string dir) : dir_(std::move(dir)) {}

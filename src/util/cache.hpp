@@ -4,11 +4,19 @@
 // single search-space evaluation; the first bench to run stores the results
 // and the rest reuse them.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 
 namespace efficsense {
+
+/// FNV-1a 64-bit offset basis: the state of a chain that has seen no bytes.
+inline constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
+
+/// Incremental FNV-1a 64: fold `n` bytes into a running state.
+std::uint64_t fnv1a_update(std::uint64_t state, const void* data,
+                           std::size_t n);
 
 /// FNV-1a 64-bit hash, used to turn a config description into a cache key.
 std::uint64_t fnv1a(const std::string& data);

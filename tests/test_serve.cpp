@@ -2,9 +2,10 @@
 // malformed-ingress corpus (every corruption earns its typed status, never
 // a crash — this file is in the ASan/UBSan and TSan CI lanes), the
 // backpressure primitives, pipeline bit-exactness against the offline
-// path, and full server lifecycles over a unix socket — backpressure
-// rejections, budget accounting across mid-session disconnects, drain with
-// in-flight work, and the crash-honest heartbeat.
+// path, and full server lifecycles over a unix socket (one stream also
+// over loopback TCP) — backpressure rejections, budget accounting across
+// mid-session disconnects, drain with in-flight work, and the crash-honest
+// heartbeat.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <string_view>
 #include <thread>
 
 #include "arch/scenario.hpp"
@@ -23,7 +25,6 @@
 #include "serve/server.hpp"
 #include "serve/status.hpp"
 #include "serve/wire.hpp"
-#include "util/cache.hpp"
 
 using namespace efficsense;
 using namespace efficsense::serve;
@@ -37,9 +38,99 @@ std::string scratch_uds(const char* tag) {
 
 // --- Wire protocol ----------------------------------------------------------
 
-TEST(ServeWire, FnvMatchesUtil) {
-  const std::string s = "the journal's hash discipline";
-  EXPECT_EQ(fnv1a_bytes(s.data(), s.size()), fnv1a(s));
+// CRC-32C one bit at a time: the definition the table and SSE4.2 paths
+// must reproduce.
+std::uint32_t crc32c_bitwise(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ 0x82F63B78u : c >> 1;
+  }
+  return ~c;
+}
+
+std::string hex(const std::string& bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out.push_back(digits[c >> 4]);
+    out.push_back(digits[c & 0xF]);
+  }
+  return out;
+}
+
+// True for every status the taxonomy names.
+bool typed(Status s) {
+  return std::string_view(status_name(s)) != "unknown_status";
+}
+
+TEST(ServeWire, Crc32cKnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32c(check.data(), check.size()), 0xE3069283u);
+  EXPECT_EQ(crc32c_table(check.data(), check.size()), 0xE3069283u);
+  EXPECT_EQ(crc32c(nullptr, 0), 0u);
+  EXPECT_EQ(crc32c_table(nullptr, 0), 0u);
+  if (cpu_has_sse42()) {
+    EXPECT_EQ(crc32c_sse42(check.data(), check.size()), 0xE3069283u);
+    EXPECT_EQ(crc32c_sse42(nullptr, 0), 0u);
+  }
+}
+
+// Every length 0..1031 at every start offset mod 8: covers the SSE4.2
+// path's 8-byte body and its byte tail, aligned and not.
+TEST(ServeWire, Crc32cPathsMatchBitwiseReference) {
+  std::vector<std::uint8_t> buf(1031 + 8);
+  std::uint32_t s = 0x12345678u;
+  for (auto& b : buf) {
+    s = s * 1664525u + 1013904223u;
+    b = std::uint8_t(s >> 24);
+  }
+  const bool sse = cpu_has_sse42();
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 1031; ++len) {
+      const std::uint8_t* p = buf.data() + off;
+      const std::uint32_t ref = crc32c_bitwise(p, len);
+      ASSERT_EQ(crc32c_table(p, len), ref) << "offset " << off << " len " << len;
+      if (sse) {
+        ASSERT_EQ(crc32c_sse42(p, len), ref)
+            << "offset " << off << " len " << len;
+      }
+      ASSERT_EQ(crc32c(p, len), ref) << "offset " << off << " len " << len;
+    }
+  }
+}
+
+// The Data body is the bulk of every frame; its bytes are pinned so a codec
+// change cannot move them (recorded from the per-byte encoder of wire v1).
+TEST(ServeWire, DataBodyBytesArePinned) {
+  DataHeader h;
+  h.scenario_id = 0x01020304;
+  h.m = 75;
+  h.phi_seed = 0x0123456789ABCDEFULL;
+  h.node_id = 99999;
+  h.epoch_index = 12;
+  const std::vector<double> y = {1.5,  -2.25e-6, 0.0,       -0.0,
+                                 1e300, 5e-324,  -1.0 / 3.0};
+  const auto body = encode_data(h, y.data(), y.size());
+  EXPECT_EQ(hex(body),
+            "040302014b000000efcdab8967452301"
+            "9f860100000000000c00000000000000"
+            "0700000000000000000000000000f83f"
+            "3fabcc94d6dfc2be0000000000000000"
+            "00000000000000809c7500883ce4377e"
+            "0100000000000000555555555555d5bf");
+
+  // The frame: u32 length, magic "ESRV", version 2, type, status, then the
+  // body's CRC-32C in the low half of the u64 checksum field.
+  const auto frame = encode_frame(FrameType::kData, Status::kOk, body);
+  ASSERT_EQ(frame.size(), 4 + kHeaderBytes + body.size());
+  const std::uint32_t crc = crc32c_bitwise(
+      reinterpret_cast<const std::uint8_t*>(body.data()), body.size());
+  std::string crc_le;
+  for (int i = 0; i < 4; ++i) crc_le.push_back(char((crc >> (8 * i)) & 0xFF));
+  EXPECT_EQ(hex(frame.substr(0, 4 + kHeaderBytes)),
+            "70000000" "56525345" "02" "03" "0000" + hex(crc_le) + "00000000");
+  EXPECT_EQ(frame.substr(4 + kHeaderBytes), body);
 }
 
 TEST(ServeWire, HelloRoundTrip) {
@@ -129,6 +220,11 @@ TEST(ServeWire, MalformedFramesEarnTypedStatuses) {
             Status::kBadVersion);
 
   corrupt = raw;
+  corrupt[4] = 1;  // a wire-v1 peer: typed refusal, no fallback
+  EXPECT_EQ(parse_frame(corrupt.data(), corrupt.size(), &out),
+            Status::kBadVersion);
+
+  corrupt = raw;
   corrupt[5] = 200;  // unknown frame type
   EXPECT_EQ(parse_frame(corrupt.data(), corrupt.size(), &out),
             Status::kBadFrameType);
@@ -140,6 +236,11 @@ TEST(ServeWire, MalformedFramesEarnTypedStatuses) {
 
   corrupt = raw;
   corrupt[8] ^= 0x01;  // crc field itself
+  EXPECT_EQ(parse_frame(corrupt.data(), corrupt.size(), &out),
+            Status::kBadCrc);
+
+  corrupt = raw;
+  corrupt[15] ^= 0x80;  // high half of the crc field must stay zero
   EXPECT_EQ(parse_frame(corrupt.data(), corrupt.size(), &out),
             Status::kBadCrc);
 
@@ -173,31 +274,56 @@ TEST(ServeWire, DataCountLiesAreTruncatedOrOversize) {
 }
 
 // Sanitizer chow: every single-byte corruption and every truncation of a
-// real frame must parse to SOME status without reading out of bounds.
+// real frame (a small CS one and a serve_raw-sized 1152-double one) must
+// parse to a typed status without reading out of bounds. A byte flip is a
+// burst of at most 8 bits, which CRC-32C always detects, so each byte's
+// flip has exactly one right answer; only the status field is unchecked.
 TEST(ServeWire, FuzzBitflipsAndTruncationsNeverCrash) {
-  DataHeader h;
-  h.m = 3;
-  std::vector<double> y(9, 0.125);
-  const auto frame = encode_frame(FrameType::kData, Status::kOk,
-                                  encode_data(h, y.data(), y.size()));
-  std::vector<std::uint8_t> raw(frame.begin() + 4, frame.end());
+  const auto flip_status = [](std::size_t i) {
+    if (i < 4) return Status::kBadMagic;
+    if (i == 4) return Status::kBadVersion;
+    if (i == 5) return Status::kBadFrameType;
+    if (i < 8) return Status::kOk;
+    return Status::kBadCrc;
+  };
+  for (const std::size_t count : {std::size_t(9), std::size_t(1152)}) {
+    DataHeader h;
+    h.m = 3;
+    std::vector<double> y(count);
+    for (std::size_t i = 0; i < count; ++i) y[i] = 0.125 - 1e-5 * double(i);
+    const auto frame = encode_frame(FrameType::kData, Status::kOk,
+                                    encode_data(h, y.data(), y.size()));
+    const std::vector<std::uint8_t> raw(frame.begin() + 4, frame.end());
 
-  for (std::size_t i = 0; i < raw.size(); ++i) {
     auto mutant = raw;
-    mutant[i] ^= 0x5A;
-    ParsedFrame out;
-    const Status st = parse_frame(mutant.data(), mutant.size(), &out);
-    if (st == Status::kOk) {
-      Status why = Status::kOk;
-      (void)decode_data(out.body, out.body_len, &why);
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      mutant[i] ^= 0x5A;
+      ParsedFrame out;
+      const Status st = parse_frame(mutant.data(), mutant.size(), &out);
+      ASSERT_EQ(st, flip_status(i)) << count << " doubles, byte " << i;
+      if (st == Status::kOk) {
+        Status why = Status::kTruncated;
+        EXPECT_TRUE(decode_data(out.body, out.body_len, &why).has_value());
+        EXPECT_EQ(why, Status::kOk);
+      }
+      mutant[i] = raw[i];
     }
-  }
-  for (std::size_t len = 0; len <= raw.size(); ++len) {
-    ParsedFrame out;
-    const Status st = parse_frame(raw.data(), len, &out);
-    if (st == Status::kOk) {
-      Status why = Status::kOk;
-      (void)decode_data(out.body, out.body_len, &why);
+    for (std::size_t len = 0; len <= raw.size(); ++len) {
+      // An exact-size copy, so a read past `len` is an ASan error.
+      const std::vector<std::uint8_t> cut(raw.begin(),
+                                          raw.begin() + std::ptrdiff_t(len));
+      ParsedFrame out;
+      const Status st = parse_frame(cut.data(), cut.size(), &out);
+      ASSERT_TRUE(typed(st)) << count << " doubles, length " << len;
+      if (len < kHeaderBytes) {
+        ASSERT_EQ(st, Status::kTruncated);
+      }
+      if (st == Status::kOk) {
+        Status why = Status::kOk;
+        const bool whole = decode_data(out.body, out.body_len, &why).has_value();
+        ASSERT_TRUE(typed(why));
+        ASSERT_EQ(whole, len == raw.size()) << "length " << len;
+      }
     }
   }
 }
@@ -349,6 +475,46 @@ class ServePipelineTest : public ::testing::Test {
     return req;
   }
 
+  /// One session of 8 epochs (CS and raw): every detection bitwise equal
+  /// to DecodePipeline::decode on the same request, then a clean bye.
+  static void stream_bit_exact(Client& client) {
+    const auto ack = client.hello({1, 0, 8});
+    EXPECT_GT(ack.session_id, 0u);
+    EXPECT_EQ(ack.decode_threads, 2u);
+
+    std::vector<EpochRequest> reqs;
+    for (std::uint64_t node = 0; node < 8; ++node) {
+      reqs.push_back(make_request(node % 3 == 2 ? 0 : 75, node));
+    }
+    for (const auto& r : reqs) {
+      client.send_data(r.header, r.y.data(), r.y.size());
+    }
+    for (std::size_t got = 0; got < reqs.size(); ++got) {
+      const auto resp = client.recv();
+      ASSERT_TRUE(resp.has_value());
+      ASSERT_EQ(resp->type, FrameType::kDetection);
+      ASSERT_TRUE(resp->detection.has_value());
+      const auto& det = *resp->detection;
+      const auto& req = reqs[det.node_id];
+      const auto oracle = pipeline_->decode(req);
+      EXPECT_EQ(std::memcmp(&det.score, &oracle.score, sizeof(double)), 0);
+      EXPECT_EQ(det.detected != 0, oracle.detected);
+      EXPECT_EQ(det.n_samples, oracle.n_samples);
+      EXPECT_EQ(det.epoch_index, req.header.epoch_index);
+    }
+    const auto bye = client.bye();
+    EXPECT_EQ(bye.frames_accepted, reqs.size());
+    EXPECT_EQ(bye.detections_sent, reqs.size());
+    EXPECT_EQ(bye.frames_rejected, 0u);
+  }
+
+  static void expect_clean_stop(const ServeStats& stats) {
+    EXPECT_EQ(stats.detections_out, 8u);
+    EXPECT_EQ(stats.frames_rejected, 0u);
+    EXPECT_EQ(stats.queued_bytes, 0u);
+    EXPECT_EQ(stats.sessions_open, 0u);
+  }
+
   static ServerConfig test_config(const std::string& uds) {
     ServerConfig c;
     c.uds_path = uds;
@@ -455,41 +621,26 @@ TEST_F(ServePipelineTest, ServerStreamsBitExactDetections) {
   server.start();
   {
     auto client = Client::connect_unix(uds);
-    const auto ack = client.hello({1, 0, 8});
-    EXPECT_GT(ack.session_id, 0u);
-    EXPECT_EQ(ack.decode_threads, 2u);
-
-    std::vector<EpochRequest> reqs;
-    for (std::uint64_t node = 0; node < 8; ++node) {
-      reqs.push_back(make_request(node % 3 == 2 ? 0 : 75, node));
-    }
-    for (const auto& r : reqs) {
-      client.send_data(r.header, r.y.data(), r.y.size());
-    }
-    for (std::size_t got = 0; got < reqs.size(); ++got) {
-      const auto resp = client.recv();
-      ASSERT_TRUE(resp.has_value());
-      ASSERT_EQ(resp->type, FrameType::kDetection);
-      ASSERT_TRUE(resp->detection.has_value());
-      const auto& det = *resp->detection;
-      const auto& req = reqs[det.node_id];
-      const auto oracle = pipeline_->decode(req);
-      EXPECT_EQ(std::memcmp(&det.score, &oracle.score, sizeof(double)), 0);
-      EXPECT_EQ(det.detected != 0, oracle.detected);
-      EXPECT_EQ(det.n_samples, oracle.n_samples);
-      EXPECT_EQ(det.epoch_index, req.header.epoch_index);
-    }
-    const auto bye = client.bye();
-    EXPECT_EQ(bye.frames_accepted, reqs.size());
-    EXPECT_EQ(bye.detections_sent, reqs.size());
-    EXPECT_EQ(bye.frames_rejected, 0u);
+    stream_bit_exact(client);
   }
   server.stop();
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.detections_out, 8u);
-  EXPECT_EQ(stats.frames_rejected, 0u);
-  EXPECT_EQ(stats.queued_bytes, 0u);
-  EXPECT_EQ(stats.sessions_open, 0u);
+  expect_clean_stop(server.stats());
+}
+
+// The same stream over loopback TCP: listen_tcp on an ephemeral port,
+// connect_tcp through Client::connect_inet, TCP_NODELAY on both ends.
+TEST_F(ServePipelineTest, TcpTransportStreamsBitExactDetections) {
+  auto config = test_config("");
+  config.tcp_port = 0;
+  Server server(pipeline_, config);
+  server.start();
+  ASSERT_GT(server.bound_tcp_port(), 0);
+  {
+    auto client = Client::connect_inet("127.0.0.1", server.bound_tcp_port());
+    stream_bit_exact(client);
+  }
+  server.stop();
+  expect_clean_stop(server.stats());
 }
 
 TEST_F(ServePipelineTest, FullQueueRejectsRetryablyAndRecovers) {

@@ -231,6 +231,15 @@ TEST(Cache, Fnv1aStable) {
   EXPECT_EQ(fnv1a("abc"), fnv1a("abc"));
   EXPECT_NE(fnv1a("abc"), fnv1a("abd"));
   EXPECT_EQ(fnv1a(""), 0xCBF29CE484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xAF63DC4C8601EC8CULL);  // published FNV-1a 64 vector
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171F73967E8ULL);
+  // The incremental form may split the input anywhere.
+  const std::string s = "journal line";
+  for (std::size_t cut = 0; cut <= s.size(); ++cut) {
+    EXPECT_EQ(fnv1a_update(fnv1a_update(kFnvOffset, s.data(), cut),
+                           s.data() + cut, s.size() - cut),
+              fnv1a(s));
+  }
 }
 
 TEST(Env, ParsesValues) {
